@@ -10,14 +10,10 @@ delay-cost pruning.
 import argparse
 import statistics
 
+from drcr.cli import nearest_rank
 from drcr.graph import build_reverse_tree
 from drcr.pulse import PulseOptions, ldf_order, natural_order, pulse_plus
 from drcr.testgen import GenConfig, gen_drcr_query, gen_er_network
-
-
-def percentiles(xs):
-    xs = sorted(xs)
-    return [xs[max(0, -(-p * len(xs) // 100) - 1)] for p in (50, 75, 99)]
 
 
 def main():
@@ -67,7 +63,7 @@ def main():
     print(f"{'config':<12} {'p50':>8} {'p75':>8} {'p99':>8} {'median-ratio':>13}")
     base = statistics.median(configs["link-order"])
     for name, iters in configs.items():
-        p50, p75, p99 = percentiles(iters)
+        p50, p75, p99 = (nearest_rank(iters, p) for p in (50, 75, 99))
         print(f"{name:<12} {p50:>8} {p75:>8} {p99:>8} "
               f"{statistics.median(iters) / base:>13.2f}")
 

@@ -36,11 +36,14 @@ def _write_lines(path: str, lines: list[str]) -> None:
 def cmd_gen(args: argparse.Namespace) -> int:
     cfg = GenConfig(n=args.nodes, p_mult=args.pmult, p=args.p,
                     seed=args.seed, srlg_style=args.srlg_style)
-    net = gen_er_network(cfg)
+    text = dump_network(gen_er_network(cfg))
     os.makedirs(args.out, exist_ok=True)
     graph_path = os.path.join(args.out, "graph.txt")
     with open(graph_path, "w") as fh:
-        fh.write(dump_network(net))
+        fh.write(text)
+    # Sample on the network `drcr solve` will load: loading renumbers nodes
+    # by first appearance, so generator node ids are not the file's ids.
+    net = load_network(text)
     queries: list[str] = []
     if args.cases == "drcr":
         for i in range(args.queries):

@@ -16,7 +16,8 @@ and are densified to ``0..n-1`` in order of first appearance.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 INF = float("inf")
@@ -101,6 +102,15 @@ class Network:
     def node_id(self, name: str) -> int:
         return self.node_names.index(name)
 
+    @cached_property
+    def _weights(self) -> dict[str, list[int]]:
+        return {"delay": [link.delay for link in self.links],
+                "cost": [link.cost for link in self.links]}
+
+    def weights(self, metric: str) -> list[int]:
+        """Per-link ``"delay"`` or ``"cost"`` values, indexed by link id."""
+        return self._weights[metric]
+
 
 @dataclass(frozen=True)
 class Path:
@@ -162,7 +172,6 @@ class ShortestTree:
     """
 
     root: int
-    metric: str  # "delay" | "cost"
     reverse: bool
     dist: list[float]
     next_hop: list[int]  # link id, -1 where unreachable / at root
@@ -183,50 +192,66 @@ class ShortestTree:
         return Path.from_links(net, ids)
 
 
-def _metric_value(link: Link, metric: str) -> int:
-    return link.delay if metric == "delay" else link.cost
+def dijkstra(net: Network, root: int, weights: list[float], *,
+             reverse: bool = False,
+             disabled: Optional[set[int]] = None,
+             banned_nodes: Iterable[int] = (),
+             target: Optional[int] = None) -> ShortestTree:
+    """Shortest tree from (``reverse``: towards) ``root`` over link ``weights``.
 
-
-def _dijkstra_tree(net: Network, root: int, metric: str, reverse: bool,
-                   disabled: Optional[set[int]] = None) -> ShortestTree:
+    Disabled links and every link into (``reverse``: out of) a banned node
+    are skipped.  With a ``target`` the search stops once the target is
+    settled, so only ``dist[target]`` and its tree path are final.
+    """
     if not 0 <= root < net.num_nodes:
         raise ValueError(f"node {root} out of range")
     n = net.num_nodes
+    adj = net.in_adj if reverse else net.out_adj
+    skip = disabled
+    if banned_nodes:
+        # Links into banned nodes on the search side: in_adj forward,
+        # out_adj when the search runs against link direction.
+        entering = net.out_adj if reverse else net.in_adj
+        skip = set(disabled or ())
+        for v in banned_nodes:
+            skip.update(entering[v])
     dist: list[float] = [INF] * n
     next_hop = [-1] * n
     dist[root] = 0
-    heap: list[tuple[int, int]] = [(0, root)]
+    heap: list[tuple[float, int]] = [(0, root)]
     done = [False] * n
-    adj = net.in_adj if reverse else net.out_adj
     links = net.links
     while heap:
         d, u = heapq.heappop(heap)
         if done[u]:
             continue
+        if u == target:
+            break
         done[u] = True
         for lid in adj[u]:
-            if disabled is not None and lid in disabled:
+            if skip and lid in skip:
                 continue
             link = links[lid]
             v = link.src if reverse else link.dst
-            nd = d + _metric_value(link, metric)
+            nd = d + weights[lid]
             if nd < dist[v]:
                 dist[v] = nd
                 next_hop[v] = lid
                 heapq.heappush(heap, (nd, v))
-    return ShortestTree(root, metric, reverse, dist, next_hop)
+    return ShortestTree(root, reverse, dist, next_hop)
 
 
 def build_reverse_tree(net: Network, t: int, metric: str,
                        disabled: Optional[set[int]] = None) -> ShortestTree:
     """Destination-rooted shortest tree: dist[u] = min metric over u->t paths."""
-    return _dijkstra_tree(net, t, metric, reverse=True, disabled=disabled)
+    return dijkstra(net, t, net.weights(metric), reverse=True,
+                    disabled=disabled)
 
 
 def build_forward_tree(net: Network, s: int, metric: str,
                        disabled: Optional[set[int]] = None) -> ShortestTree:
     """Source-rooted shortest tree: dist[u] = min metric over s->u paths."""
-    return _dijkstra_tree(net, s, metric, reverse=False, disabled=disabled)
+    return dijkstra(net, s, net.weights(metric), disabled=disabled)
 
 
 def load_network(text: str) -> Network:
@@ -267,10 +292,7 @@ def load_network(text: str) -> Network:
     names = [""] * len(name_to_id)
     for name, idx in name_to_id.items():
         names[idx] = name
-    try:
-        return Network.build(len(names), links, names)
-    except GraphFormatError:
-        raise
+    return Network.build(len(names), links, names)
 
 
 def dump_network(net: Network) -> str:

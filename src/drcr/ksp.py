@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graph import INF, Network, Path
+from .graph import INF, Network, Path, dijkstra
 from .pulse import DrcrCase, DrcrQuery, classify_case
 from .srlg import PathPair, SrlgDrcrQuery, backup_search
 
@@ -64,49 +64,6 @@ class KspStats:
     elapsed_us: int = 0
 
 
-def _dijkstra_masked(net: Network, s: int, t: int, weights: list[float],
-                     banned_nodes: frozenset[int],
-                     banned_links: frozenset[int],
-                     ) -> Optional[tuple[list[int], float]]:
-    """Min-weight s->t path avoiding the banned nodes and links."""
-    n = net.num_nodes
-    dist = [INF] * n
-    via = [-1] * n
-    dist[s] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, s)]
-    done = [False] * n
-    links = net.links
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        if u == t:
-            break
-        done[u] = True
-        for lid in net.out_adj[u]:
-            if lid in banned_links:
-                continue
-            link = links[lid]
-            v = link.dst
-            if v in banned_nodes:
-                continue
-            nd = d + weights[lid]
-            if nd < dist[v]:
-                dist[v] = nd
-                via[v] = lid
-                heapq.heappush(heap, (nd, v))
-    if dist[t] == INF:
-        return None
-    ids: list[int] = []
-    node = t
-    while node != s:
-        lid = via[node]
-        ids.append(lid)
-        node = links[lid].src
-    ids.reverse()
-    return ids, dist[t]
-
-
 def yen_ksp(net: Network, s: int, t: int, w: WeightFn) -> Iterator[Path]:
     """Loopless s->t paths in non-decreasing weight, lazily.
 
@@ -116,41 +73,31 @@ def yen_ksp(net: Network, s: int, t: int, w: WeightFn) -> Iterator[Path]:
     weights = w.link_weights(net)
     if weights and min(weights) < -1e-12:
         raise ValueError("negative link weight")
-    first = _dijkstra_masked(net, s, t, weights, frozenset(), frozenset())
-    if first is None:
-        return
+    current = dijkstra(net, s, weights, target=t).path_from(net, t)
     emitted: list[tuple[int, ...]] = []
     candidates: list[tuple[float, tuple[int, ...]]] = []
-    seen: set[tuple[int, ...]] = {tuple(first[0])}
-    links = net.links
-    current: Optional[tuple[list[int], float]] = first
+    seen: set[tuple[int, ...]] = set() if current is None else {current.links}
     while current is not None:
-        cur_links, _cur_w = current
-        emitted.append(tuple(cur_links))
-        yield Path.from_links(net, cur_links)
-        nodes = [s] + [links[lid].dst for lid in cur_links]
+        cur_links = current.links
+        emitted.append(cur_links)
+        yield current
+        nodes = current.nodes
         root_w = 0.0
         for i in range(len(cur_links)):
-            spur = nodes[i]
             root = cur_links[:i]
-            banned_links = set()
-            for p in emitted:
-                if len(p) > i and list(p[:i]) == root:
-                    banned_links.add(p[i])
-            banned_nodes = frozenset(nodes[:i])
-            res = _dijkstra_masked(net, spur, t, weights, banned_nodes,
-                                   frozenset(banned_links))
-            if res is not None:
-                cand = tuple(root + res[0])
+            banned_links = {p[i] for p in emitted
+                            if len(p) > i and p[:i] == root}
+            tree = dijkstra(net, nodes[i], weights, disabled=banned_links,
+                            banned_nodes=nodes[:i], target=t)
+            spur = tree.path_from(net, t)
+            if spur is not None:
+                cand = root + spur.links
                 if cand not in seen:
                     seen.add(cand)
-                    heapq.heappush(candidates, (root_w + res[1], cand))
+                    heapq.heappush(candidates, (root_w + tree.dist[t], cand))
             root_w += weights[cur_links[i]]
-        if candidates:
-            wt, cand = heapq.heappop(candidates)
-            current = (list(cand), wt)
-        else:
-            current = None
+        current = (Path.from_links(net, heapq.heappop(candidates)[1])
+                   if candidates else None)
 
 
 def _finish(stats: KspStats, t0: float, status: str) -> KspStats:
@@ -221,10 +168,9 @@ def _min_weight_delay(net: Network, s: int, t: int, lam: float,
                       ) -> tuple[float, int]:
     """Weight and delay of a min-(c + lam*d)-weight s->t path."""
     weights = [link.cost + lam * link.delay for link in net.links]
-    res = _dijkstra_masked(net, s, t, weights, frozenset(), frozenset())
-    if res is None:
+    path = dijkstra(net, s, weights, target=t).path_from(net, t)
+    if path is None:
         return INF, 0
-    path = Path.from_links(net, res[0])
     return path.cost + lam * path.delay, path.delay
 
 

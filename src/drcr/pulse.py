@@ -4,16 +4,20 @@ The search is a depth-first stack walk over partial paths.  A branch is cut
 when it can no longer beat the incumbent (optimality cut) or can no longer
 reach the destination within the delay upper bound (feasibility cut).  No
 dominance pruning is performed: with a delay lower bound a dominated prefix
-can still complete into the only feasible path.  Visited nodes are tracked
-per branch as an integer bitmask so only elementary paths are produced.
+can still complete into the only feasible path.  Stack entries carry their
+depth; one on-path node array and one path-link array describe the current
+path and are unwound to the popped entry's depth, so only elementary paths
+are produced and the found path is read off the path-link array.  The same
+kernel runs the Srlg active-path, backup and conflict-set searches.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from .graph import (
     INF,
@@ -65,6 +69,18 @@ class SearchStats:
     cf_build_us: int = 0
 
 
+def _dst_trees(net: Network, dst: int,
+               delay_tree: Optional[ShortestTree],
+               cost_tree: Optional[ShortestTree],
+               ) -> tuple[ShortestTree, ShortestTree]:
+    """The delay and cost trees rooted at ``dst``, built where not given."""
+    if delay_tree is None:
+        delay_tree = build_reverse_tree(net, dst, "delay")
+    if cost_tree is None:
+        cost_tree = build_reverse_tree(net, dst, "cost")
+    return delay_tree, cost_tree
+
+
 def classify_case(net: Network, q: DrcrQuery,
                   delay_tree: Optional[ShortestTree] = None,
                   cost_tree: Optional[ShortestTree] = None,
@@ -76,10 +92,7 @@ def classify_case(net: Network, q: DrcrQuery,
     """
     if not (0 <= q.src < net.num_nodes and 0 <= q.dst < net.num_nodes):
         raise ValueError("query endpoint out of range")
-    if delay_tree is None:
-        delay_tree = build_reverse_tree(net, q.dst, "delay")
-    if cost_tree is None:
-        cost_tree = build_reverse_tree(net, q.dst, "cost")
+    delay_tree, cost_tree = _dst_trees(net, q.dst, delay_tree, cost_tree)
     d_min_delay = delay_tree.dist[q.src]
     if d_min_delay == INF or q.U < d_min_delay:
         return DrcrCase.INFEASIBLE, None
@@ -136,17 +149,6 @@ def natural_order(net: Network,
     return order
 
 
-def _rebuild_path(net: Network, entry) -> Path:
-    ids: list[int] = []
-    while entry is not None:
-        node, dly, cst, vis, parent, lid = entry[:6]
-        if lid >= 0:
-            ids.append(lid)
-        entry = parent
-    ids.reverse()
-    return Path.from_links(net, ids)
-
-
 def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
                      delay_dist: list[float], cost_dist: list[float],
                      egress: list[list[tuple[int, int, int, int]]],
@@ -156,30 +158,47 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
                      cf: Optional[CostFunction] = None,
                      time_limit: Optional[float] = None,
                      stats: Optional[SearchStats] = None,
+                     accept: Optional[Callable[[list[int], int], bool]] = None,
+                     link_masks: Optional[list[int]] = None,
+                     conflict_masks: Sequence[int] = (),
+                     disabled: Optional[set[int]] = None,
                      ) -> tuple[Optional[Path], SearchStats]:
-    """Core stack search shared by the DRCR solver and the backup search.
+    """The one depth-first search, shared by every solver in the package.
 
-    ``first_feasible`` pins the incumbent so the optimality cut stays off
-    and the first validated path is returned (used for backup searches where
-    cost is irrelevant).  ``cf`` switches the optimality cut to the joint
-    delay-cost rule.
+    A destination hit with delay in ``[L, U]`` and cost below the incumbent
+    is offered to ``accept(link_ids, omega)``, where ``omega`` is the OR of
+    ``link_masks`` over the path (0 without masks); without a predicate
+    every such hit is accepted.  ``first_feasible`` pins the incumbent so
+    the optimality cut stays off and the first accepted path is returned
+    (used where cost is irrelevant).  ``cf`` switches the optimality cut to
+    the joint delay-cost rule.  A partial path whose ``omega`` contains one
+    of the ``conflict_masks`` is cut.  Links in ``disabled`` are never
+    taken; a rejecting predicate may add to it, and the pending branches
+    below the shallowest newly disabled link of the rejected path are then
+    dropped.
     """
     if stats is None:
         stats = SearchStats()
     t0 = time.monotonic()
     deadline = None if time_limit is None else t0 + time_limit
-    best_entry = None
+    best: Optional[list[int]] = None
     searched = 0.0
     iterations = 0
     trace = stats.best_cost_trace
-    # entry: (node, delay, cost, visited_mask, parent, link_id, s3)
-    stack = [(s, 0, 0, 1 << s, None, -1, 1.0)]
+    n = net.num_nodes
+    on_path = [False] * n
+    path_nodes = [s] * n  # node at each depth of the current path
+    path_links = [-1] * n  # link entering the node at that depth
+    omegas = [0] * n  # Srlg mask of the current path up to that depth
+    omega = 0
+    top = -1  # depth of the deepest on-path node
+    # entry: (node, delay, cost, depth, link_id, s3)
+    stack = [(s, 0, 0, 0, -1, 1.0)]
     pop = stack.pop
     push = stack.append
     if cf is not None:
         cf_delays = cf.delays
         cf_costs = cf.costs
-        from bisect import bisect_right
     timed_out = False
     while stack:
         iterations += 1
@@ -187,18 +206,34 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
                 and time.monotonic() > deadline:
             timed_out = True
             break
-        entry = pop()
-        node, dly, cst, vis, _parent, _lid, s3 = entry
+        node, dly, cst, depth, lid, s3 = pop()
+        if disabled and lid in disabled:
+            continue
+        while top >= depth:
+            on_path[path_nodes[top]] = False
+            top -= 1
+        path_links[depth] = lid
+        if link_masks is not None:
+            omega = omegas[depth - 1] | link_masks[lid] if depth else 0
+            omegas[depth] = omega
         if node == t:
             searched += s3
-            if L <= dly <= U:
-                if first_feasible:
-                    best_entry = entry
-                    break
-                if cst < tmp_min:
+            if L <= dly <= U and (first_feasible or cst < tmp_min):
+                links = path_links[1:depth + 1]
+                if accept is None or accept(links, omega):
+                    best = links
+                    if first_feasible:
+                        break
                     tmp_min = cst
-                    best_entry = entry
                     trace.append((iterations, cst))
+                elif disabled:
+                    # Pending entries below a now-disabled path link are the
+                    # top of the stack: entries sit in non-decreasing depth.
+                    cut = next((i for i, l in enumerate(links, 1)
+                                if l in disabled), None)
+                    if cut is not None:
+                        while stack and stack[-1][3] > cut:
+                            pop()
             continue
         if dly + delay_dist[node] > U:
             searched += s3
@@ -214,29 +249,31 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
         elif cst + cost_dist[node] >= tmp_min:
             searched += s3
             continue
-        kids = []
-        for to, d_e, c_e, lid in egress[node]:
-            if not vis >> to & 1:
-                kids.append((to, dly + d_e, cst + c_e, vis | (1 << to), entry, lid))
+        if conflict_masks and any(omega & m == m for m in conflict_masks):
+            searched += s3
+            continue
+        on_path[node] = True
+        path_nodes[depth] = node
+        top = depth
+        kids = [e for e in egress[node] if not on_path[e[0]]]
+        if disabled:
+            kids = [e for e in kids if e[3] not in disabled]
         k = len(kids)
         if k == 0:
             searched += s3
             continue
         child_s3 = s3 / k
-        for kid in kids:
-            push(kid + (child_s3,))
+        depth += 1
+        for to, d_e, c_e, elid in kids:
+            push((to, dly + d_e, cst + c_e, depth, elid, child_s3))
     stats.iterations += iterations
     stats.searched_fraction = min(searched, 1.0 + 1e-9)
     stats.elapsed_us += int((time.monotonic() - t0) * 1e6)
     if timed_out:
         stats.status = "timeout"
-        path = _rebuild_path(net, best_entry) if best_entry is not None else None
-        return path, stats
-    if best_entry is None:
-        stats.status = "infeasible"
-        return None, stats
-    stats.status = "optimal"
-    return _rebuild_path(net, best_entry), stats
+    else:
+        stats.status = "infeasible" if best is None else "optimal"
+    return (None if best is None else Path.from_links(net, best)), stats
 
 
 def pulse_plus(net: Network, q: DrcrQuery,
@@ -258,10 +295,7 @@ def pulse_plus(net: Network, q: DrcrQuery,
         raise ValueError("query endpoint out of range")
     stats = SearchStats()
     t0 = time.monotonic()
-    if delay_tree is None:
-        delay_tree = build_reverse_tree(net, q.dst, "delay")
-    if cost_tree is None:
-        cost_tree = build_reverse_tree(net, q.dst, "cost")
+    delay_tree, cost_tree = _dst_trees(net, q.dst, delay_tree, cost_tree)
     cf = None
     if opts.joint_pruning:
         cf_t0 = time.monotonic()
@@ -288,21 +322,20 @@ def solve_drcr(net: Network, q: DrcrQuery,
                delay_tree: Optional[ShortestTree] = None,
                cost_tree: Optional[ShortestTree] = None,
                egress_order=None) -> tuple[Optional[Path], SearchStats]:
-    """Case-classify then dispatch: trivial cases bypass the search."""
-    if delay_tree is None:
-        delay_tree = build_reverse_tree(net, q.dst, "delay")
-    if cost_tree is None:
-        cost_tree = build_reverse_tree(net, q.dst, "cost")
+    """Case-classify then dispatch: trivial cases bypass the search.
+
+    ``elapsed_us`` covers the whole call, tree builds included.
+    """
     t0 = time.monotonic()
+    delay_tree, cost_tree = _dst_trees(net, q.dst, delay_tree, cost_tree)
     case, ready = classify_case(net, q, delay_tree, cost_tree)
     if case is DrcrCase.INFEASIBLE:
-        stats = SearchStats(status="infeasible",
-                            elapsed_us=int((time.monotonic() - t0) * 1e6))
-        return None, stats
-    if ready is not None:
-        stats = SearchStats(status="optimal", searched_fraction=1.0,
-                            elapsed_us=int((time.monotonic() - t0) * 1e6))
-        stats.best_cost_trace.append((0, ready.cost))
-        return ready, stats
-    return pulse_plus(net, q, opts, delay_tree=delay_tree, cost_tree=cost_tree,
-                      egress_order=egress_order)
+        path, stats = None, SearchStats(status="infeasible")
+    elif ready is not None:
+        path, stats = ready, SearchStats(status="optimal", searched_fraction=1.0,
+                                         best_cost_trace=[(0, ready.cost)])
+    else:
+        path, stats = pulse_plus(net, q, opts, delay_tree=delay_tree,
+                                 cost_tree=cost_tree, egress_order=egress_order)
+    stats.elapsed_us = int((time.monotonic() - t0) * 1e6)
+    return path, stats

@@ -22,7 +22,7 @@ from .graph import (
     is_elementary,
     srlgs_of_path,
 )
-from .pulse import SearchStats, ldf_order, run_pulse_search
+from .pulse import ldf_order, run_pulse_search
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def backup_search(net: Network, active: Path, U: int, delta: int,
     if delay_tree.dist[s] > hi:
         return None
     egress = ldf_order(net, delay_tree, disabled=disabled)
-    path, stats = run_pulse_search(
+    path, _stats = run_pulse_search(
         net, s, t, lo, hi, delay_tree.dist, [0] * net.num_nodes, egress,
         first_feasible=True, time_limit=time_limit)
     return path
@@ -135,57 +135,30 @@ def find_conflict_set(net: Network, active: Path, U: int,
     active_omega = srlgs_of_path(net, active)
     s, t = active.nodes[0], active.nodes[-1]
     delay_tree = build_reverse_tree(net, t, "delay")
-    ddist = delay_tree.dist
     links = net.links
     egress = ldf_order(net, delay_tree)
     disabled: set[int] = set()
     found: list[int] = []
-    deadline = None if time_limit is None else time.monotonic() + time_limit
-    # entry: (node, delay, visited_mask, parent, link_id)
-    stack = [(s, 0, 1 << s, None, -1)]
-    iterations = 0
-    while stack:
-        iterations += 1
-        if deadline is not None and iterations & 1023 == 0 \
-                and time.monotonic() > deadline:
-            raise SolverTimeout("conflict-set search timed out")
-        entry = stack.pop()
-        node, dly, vis, parent, lid = entry
-        if disabled:
-            e = entry
-            hit = False
-            while e is not None:
-                if e[4] in disabled:
-                    hit = True
-                    break
-                e = e[3]
-            if hit:
-                continue
-        if node == t:
-            if dly <= U:
-                path_omega: set[int] = set()
-                e = entry
-                while e is not None:
-                    if e[4] >= 0:
-                        path_omega |= links[e[4]].srlgs
-                    e = e[3]
-                inter = path_omega & active_omega
-                if not inter:
-                    if stats is not None:
-                        stats.iterations += iterations
-                    return None
-                r = _pick_srlg(net, active, inter, pick)
-                disabled |= net.srlgs[r].links
-                found.append(r)
-            continue
-        if dly + ddist[node] > U:
-            continue
-        for to, d_e, _c_e, elid in egress[node]:
-            if elid not in disabled and not vis >> to & 1:
-                stack.append((to, dly + d_e, vis | (1 << to), entry, elid))
+
+    def disjoint(path_links: list[int], _omega: int) -> bool:
+        inter = set().union(*(links[lid].srlgs for lid in path_links))
+        inter &= active_omega
+        if not inter:
+            return True
+        r = _pick_srlg(net, active, inter, pick)
+        disabled.update(net.srlgs[r].links)
+        found.append(r)
+        return False
+
+    companion, search = run_pulse_search(
+        net, s, t, 0, U, delay_tree.dist, [0] * net.num_nodes, egress,
+        first_feasible=True, time_limit=time_limit, accept=disjoint,
+        disabled=disabled)
+    if search.status == "timeout":
+        raise SolverTimeout("conflict-set search timed out")
     if stats is not None:
-        stats.iterations += iterations
-    return ConflictSet(frozenset(found))
+        stats.iterations += search.iterations
+    return None if companion is not None else ConflictSet(frozenset(found))
 
 
 def _pick_srlg(net: Network, active: Path, candidates: set[int], pick: str) -> int:
@@ -250,46 +223,19 @@ def ap_pulse_plus(net: Network, src: int, dst: int, U: int,
             m |= 1 << bit_of[r]
         conflict_masks.append(m)
 
-    ddist = delay_tree.dist
-    cdist = cost_tree.dist
-    deadline = None if time_limit is None else time.monotonic() + time_limit
-    best_entry = None
-    iterations = 0
-    # entry: (node, delay, cost, visited, parent, link_id, omega_mask)
-    stack = [(src, 0, 0, 1 << src, None, -1, 0)]
-    while stack:
-        iterations += 1
-        if deadline is not None and iterations & 1023 == 0 \
-                and time.monotonic() > deadline:
-            raise SolverTimeout("active-path search timed out")
-        entry = stack.pop()
-        node, dly, cst, vis, _parent, _lid, omega = entry
-        if node == dst:
-            if dly <= U and cst < tmp_min and omega & include_mask == include_mask \
-                    and not any(omega & m == m for m in conflict_masks):
-                tmp_min = cst
-                best_entry = entry
-            continue
-        if dly + ddist[node] > U or cst + cdist[node] >= tmp_min:
-            continue
-        if any(omega & m == m for m in conflict_masks):
-            continue
-        for to, d_e, c_e, elid in egress[node]:
-            if elid not in disabled and not vis >> to & 1:
-                stack.append((to, dly + d_e, cst + c_e, vis | (1 << to),
-                              entry, elid, omega | link_masks[elid]))
+    def allowed(_path_links: list[int], omega: int) -> bool:
+        return omega & include_mask == include_mask \
+            and not any(omega & m == m for m in conflict_masks)
+
+    path, search = run_pulse_search(
+        net, src, dst, 0, U, delay_tree.dist, cost_tree.dist, egress,
+        tmp_min=tmp_min, time_limit=time_limit, accept=allowed,
+        link_masks=link_masks, conflict_masks=conflict_masks)
+    if search.status == "timeout":
+        raise SolverTimeout("active-path search timed out")
     if stats is not None:
-        stats.iterations += iterations
-    if best_entry is None:
-        return None
-    ids: list[int] = []
-    e = best_entry
-    while e is not None:
-        if e[5] >= 0:
-            ids.append(e[5])
-        e = e[4]
-    ids.reverse()
-    return Path.from_links(net, ids)
+        stats.iterations += search.iterations
+    return path
 
 
 def cose_pulse_plus(net: Network, q: SrlgDrcrQuery,

@@ -33,6 +33,21 @@ class TestGen:
             assert (tmp_path / "a" / name).read_bytes() \
                 == (tmp_path / "b" / name).read_bytes()
 
+    def test_queries_use_file_node_ids(self, tmp_path):
+        from drcr.graph import load_network
+        from drcr.pulse import DrcrCase, DrcrQuery, classify_case
+        out = tmp_path / "q"
+        assert main(["gen", "--nodes", "50", "--pmult", "1", "--seed", "7",
+                     "--cases", "drcr", "--queries", "10",
+                     "--out", str(out)]) == 0
+        net = load_network((out / "graph.txt").read_text())
+        recs = [json.loads(l)
+                for l in (out / "queries.jsonl").read_text().splitlines()]
+        assert recs
+        for rec in recs:
+            case, _ = classify_case(net, DrcrQuery(**rec))
+            assert case in (DrcrCase.NON_TRIVIAL_4, DrcrCase.NON_TRIVIAL_6)
+
     def test_nonstar_covers_links(self, tmp_path):
         out = tmp_path / "c"
         assert main(["gen", "--nodes", "40", "--pmult", "2", "--seed", "1",

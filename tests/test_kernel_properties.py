@@ -1,0 +1,83 @@
+"""Property tests of the search kernel on oracle-sized multigraphs.
+
+The generated nets have what ``conftest.random_net`` never produces: links
+with zero delay or cost, parallel links, ``L = 0``, ``U`` equal to the delay
+of some path, and ``delta = 0``.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from drcr.graph import Link, Network, is_elementary
+from drcr.oracle import (
+    brute_drcr,
+    brute_srlg_drcr,
+    enumerate_elementary_paths,
+    verify_conflict_set,
+)
+from drcr.pulse import DrcrQuery, PulseOptions, solve_drcr
+from drcr.srlg import SrlgDrcrQuery, cose_pulse_plus
+
+
+@st.composite
+def multigraphs(draw, num_srlgs=0):
+    """Up to 7 nodes; each drawn node pair gets one or two parallel links."""
+    n = draw(st.integers(2, 7))
+    groups = (st.frozensets(st.integers(0, num_srlgs - 1), max_size=2)
+              if num_srlgs else st.just(frozenset()))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                     groups), min_size=1, max_size=2)),
+        max_size=10))
+    links = []
+    for u, v, specs in pairs:
+        if u == v:
+            continue
+        for delay, cost, srlgs in specs:
+            links.append(Link(len(links), u, v, delay, cost, srlgs))
+    return Network.build(n, links)
+
+
+def upper_bounds(net):
+    """U values that often equal an s->t path delay exactly."""
+    delays = sorted({p.delay for p in
+                     enumerate_elementary_paths(net, 0, net.num_nodes - 1)})
+    exact = [st.sampled_from(delays)] if delays else []
+    return st.one_of(*exact, st.integers(0, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_solve_drcr_matches_oracle(data):
+    net = data.draw(multigraphs())
+    U = data.draw(upper_bounds(net))
+    L = data.draw(st.one_of(st.just(0), st.integers(0, U)))
+    q = DrcrQuery(0, net.num_nodes - 1, L, U)
+    expect = brute_drcr(net, q)
+    for opts in (PulseOptions(), PulseOptions(joint_pruning=True)):
+        p, stats = solve_drcr(net, q, opts)
+        if expect is None:
+            assert p is None and stats.status == "infeasible"
+            continue
+        assert stats.status == "optimal" and p.cost == expect[0]
+        assert is_elementary(p) and L <= p.delay <= U
+        assert (p.nodes[0], p.nodes[-1]) == (q.src, q.dst)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cose_matches_pair_oracle(data):
+    net = data.draw(multigraphs(num_srlgs=4))
+    U = data.draw(upper_bounds(net))
+    q = SrlgDrcrQuery(0, net.num_nodes - 1, U,
+                      data.draw(st.one_of(st.just(0), st.integers(0, 3))))
+    expect = brute_srlg_drcr(net, q)
+    pair, stats = cose_pulse_plus(net, q)
+    if expect is None:
+        assert pair is None and stats.status == "infeasible"
+    else:
+        assert stats.status == "optimal"
+        assert pair.active.cost == expect[0]
+        assert pair.is_valid(net, q.U, q.delta)
+    for cs in stats.conflict_sets:
+        assert verify_conflict_set(net, q, cs.srlgs)

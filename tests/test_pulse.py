@@ -1,8 +1,10 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 
+import drcr.pulse
 from conftest import random_net
 from drcr.graph import build_reverse_tree, is_elementary, load_network
 from drcr.oracle import brute_drcr
@@ -15,6 +17,7 @@ from drcr.pulse import (
     pulse_plus,
     solve_drcr,
 )
+from drcr.testgen import GenConfig, gen_drcr_query, gen_er_network
 
 
 def q(g, src, dst, L, U):
@@ -88,6 +91,58 @@ class TestPulse:
         _, stats = pulse_plus(g1, q(g1, "s", "t", 0, 10))
         costs = [c for _, c in stats.best_cost_trace]
         assert costs == sorted(costs, reverse=True)
+
+    def test_elapsed_covers_tree_builds(self, g1, monkeypatch):
+        real = drcr.pulse.build_reverse_tree
+
+        def slow(*args, **kwargs):
+            time.sleep(0.02)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(drcr.pulse, "build_reverse_tree", slow)
+        p, stats = solve_drcr(g1, q(g1, "s", "t", 0, 10))
+        assert p is not None and stats.status == "optimal"
+        assert stats.elapsed_us >= 40_000
+
+
+# (status, cost, iterations, searched_fraction) under LDF, link order and
+# LDF + joint pruning for six case-4/6 queries.  Criteria 6 and 7 compare
+# iteration counts only as ratios; these exact figures change whenever the
+# egress order or the pop order does.
+PINNED = [
+    [("optimal", 9, 710, 0.9999999999999998),
+     ("optimal", 9, 1571, 0.9999999999999999),
+     ("optimal", 9, 416, 0.9999999999999998)],
+    [("optimal", 7, 744, 1.0),
+     ("optimal", 7, 2010, 1.0000000000000013),
+     ("optimal", 7, 544, 1.0)],
+    [("optimal", 10, 364, 1.0000000000000004),
+     ("optimal", 10, 380, 0.9999999999999983),
+     ("optimal", 10, 151, 1.0000000000000013)],
+    [("optimal", 11, 2361, 0.9999999999999998),
+     ("optimal", 11, 1436, 0.9999999999999991),
+     ("optimal", 11, 712, 0.9999999999999998)],
+    [("optimal", 8, 1014, 1.000000000000002),
+     ("optimal", 8, 421, 1.0000000000000002),
+     ("optimal", 8, 515, 1.000000000000002)],
+    [("optimal", 7, 3559, 0.9999999999999923),
+     ("optimal", 7, 2670, 0.9999999999999966),
+     ("optimal", 7, 750, 0.999999999999996)],
+]
+
+
+def test_search_order_pinned():
+    net = gen_er_network(GenConfig(n=300, p_mult=3, seed=31))
+    configs = (PulseOptions(), PulseOptions(ldf=False),
+               PulseOptions(joint_pruning=True))
+    for i, expect in enumerate(PINNED):
+        query = gen_drcr_query(net, 500 + i, 4 if i % 2 == 0 else 6)
+        got = []
+        for opts in configs:
+            p, stats = pulse_plus(net, query, opts)
+            got.append((stats.status, p.cost, stats.iterations,
+                        stats.searched_fraction))
+        assert got == expect, i
 
 
 class TestLdfOrder:
