@@ -229,7 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--algo", required=True, choices=DRCR_ALGOS + SRLG_ALGOS)
     s.add_argument("--time-limit-ms", type=float, default=None)
     s.add_argument("--ldf", action=argparse.BooleanOptionalAction, default=True)
-    s.add_argument("--joint-pruning", action="store_true")
+    s.add_argument(
+        "--joint-pruning", action="store_true",
+        help="pulse+: when the plain-cut search does not finish within its "
+             "iteration budget, build the cost functions capped at its "
+             "incumbent cost and finish with the joint delay-cost cut")
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_solve)
 

@@ -26,26 +26,34 @@ class CostFunction:
     costs: list[list[int]]
 
 
-def compute_cost_functions(net: Network, s: int, t: int, U: int) -> CostFunction:
+def compute_cost_functions(net: Network, s: int, t: int, U: int,
+                           cap: float = INF) -> CostFunction:
     """Smallest-cost-first reverse search from ``t``.
 
     Branches are cut when dominated by an already-kept pair or when even the
     forward min-delay path from ``s`` cannot complete them within ``U``.
     Because pairs pop in non-decreasing cost order, dominance reduces to a
     single comparison against the most recent (smallest-delay) kept pair.
+
+    With a finite ``cap`` a pair ``(c, d)`` at ``v`` is also cut when
+    ``c + min-cost(s -> v) >= cap``: a search whose incumbent costs at most
+    ``cap`` reaches ``v`` with at least that min cost, so such a pair can
+    only bound branches that cannot beat the incumbent.  Every value below
+    the cap stays exact; values at or above it may grow.
     """
-    fwd = build_forward_tree(net, s, "delay")
-    fwd_dist = fwd.dist
+    fwd_dist = build_forward_tree(net, s, "delay").dist
+    # feasibility headroom U - min-delay(s -> v) and cost headroom
+    # cap - min-cost(s -> v) per node
+    slack = [U - d for d in fwd_dist]
+    if cap == INF:
+        room = [INF] * net.num_nodes
+    else:
+        room = [cap - c for c in build_forward_tree(net, s, "cost").dist]
     n = net.num_nodes
     delays: list[list[int]] = [[] for _ in range(n)]
     costs: list[list[int]] = [[] for _ in range(n)]
     heap: list[tuple[int, int, int]] = [(0, 0, t)]
-    # per-node ingress as flat (src, slack, delay, cost) rows, where slack
-    # is the feasibility headroom U - min-delay(s -> src)
-    ingress: list[list[tuple[int, float, int, int]]] = [[] for _ in range(n)]
-    for link in net.links:
-        ingress[link.dst].append(
-            (link.src, U - fwd_dist[link.src], link.delay, link.cost))
+    ingress = net.ingress
     pop = heapq.heappop
     push = heapq.heappush
     while heap:
@@ -55,10 +63,11 @@ def compute_cost_functions(net: Network, s: int, t: int, U: int) -> CostFunction
             continue
         dlist.append(delay)
         costs[u].append(cost)
-        for v, slack, d_e, c_e in ingress[u]:
+        for v, d_e, c_e in ingress[u]:
             new_delay = delay + d_e
-            if new_delay <= slack:
-                push(heap, (cost + c_e, new_delay, v))
+            new_cost = cost + c_e
+            if new_delay <= slack[v] and new_cost < room[v]:
+                push(heap, (new_cost, new_delay, v))
     for u in range(n):
         delays[u].reverse()
         costs[u].reverse()

@@ -111,6 +111,13 @@ class Network:
         """Per-link ``"delay"`` or ``"cost"`` values, indexed by link id."""
         return self._weights[metric]
 
+    @cached_property
+    def ingress(self) -> list[list[tuple[int, int, int]]]:
+        """Per-node rows ``(src, delay, cost)`` of the links entering it."""
+        links = self.links
+        return [[(links[lid].src, links[lid].delay, links[lid].cost)
+                 for lid in lids] for lids in self.in_adj]
+
 
 @dataclass(frozen=True)
 class Path:

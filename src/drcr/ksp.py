@@ -208,16 +208,19 @@ def _bisect_lambda(net: Network, s: int, t: int, L: int, U: int,
     return best_lam, best_g
 
 
-def choose_lambda(net: Network, q: DrcrQuery) -> LambdaResult:
+def choose_lambda(net: Network, q: DrcrQuery,
+                  case: Optional[DrcrCase] = None) -> LambdaResult:
     """Pick the multiplier maximizing the concave dual bound.
 
     When the ceiling binds, lambda lives in [0, total_cost + 1]: at the top
     of that bracket any unit of delay outweighs any cost difference, so the
     min-delay path is min-weight.  When the floor binds, lambda is negative
     but bounded below by -mu (mu the minimum cost/delay ratio) to keep every
-    link weight non-negative.
+    link weight non-negative.  A caller that has classified the query
+    passes its ``case`` to skip a second classification.
     """
-    case, _ = classify_case(net, q)
+    if case is None:
+        case, _ = classify_case(net, q)
     if case in (DrcrCase.DEGENERATED, DrcrCase.NON_TRIVIAL_4):
         big = sum(link.cost for link in net.links) + 1.0
         lam, g = _bisect_lambda(net, q.src, q.dst, q.L, q.U, 0.0, big, q.U)
@@ -261,7 +264,7 @@ def lagrangian_ksp_drcr(net: Network, q: DrcrQuery,
     if ready is not None:
         stats.lambda_value = 0.0
         return ready, _finish(stats, t0, "optimal")
-    sel = choose_lambda(net, q)
+    sel = choose_lambda(net, q, case)
     lam = sel.lambda_star
     stats.lambda_value = lam
     w = WeightFn.lagrangian(lam)

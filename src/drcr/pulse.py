@@ -13,6 +13,7 @@ kernel runs the Srlg active-path, backup and conflict-set searches.
 
 from __future__ import annotations
 
+import sys
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -52,8 +53,23 @@ class DrcrQuery:
             raise ValueError(f"empty delay range [{self.L}, {self.U}]")
 
 
+# Iterations the plain-cut search of a joint-pruning solve may spend before
+# the cost-function build is paid for; most queries finish within it.
+PLAIN_BUDGET = 1024
+
+
 @dataclass
 class PulseOptions:
+    """Solver settings.
+
+    ``ldf`` orders branches largest-delay-first.  ``joint_pruning`` solves
+    in two phases: a plain-cut search under a fixed iteration budget
+    (``PLAIN_BUDGET``) first, whose answer is returned when it finishes in
+    budget; otherwise the cost functions are built capped at that search's
+    incumbent cost and a joint-cut search seeded with the incumbent proves
+    or improves it.  ``time_limit`` bounds both phases together.
+    """
+
     ldf: bool = True
     joint_pruning: bool = False
     time_limit: Optional[float] = None  # seconds
@@ -61,7 +77,8 @@ class PulseOptions:
 
 @dataclass
 class SearchStats:
-    status: str = "infeasible"  # optimal | infeasible | timeout
+    # optimal | infeasible | timeout; "budget" only between pulse_plus phases
+    status: str = "infeasible"
     iterations: int = 0
     searched_fraction: float = 0.0
     best_cost_trace: list[tuple[int, int]] = field(default_factory=list)
@@ -162,6 +179,7 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
                      link_masks: Optional[list[int]] = None,
                      conflict_masks: Sequence[int] = (),
                      disabled: Optional[set[int]] = None,
+                     max_iterations: int = sys.maxsize,
                      ) -> tuple[Optional[Path], SearchStats]:
     """The one depth-first search, shared by every solver in the package.
 
@@ -175,7 +193,8 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
     of the ``conflict_masks`` is cut.  Links in ``disabled`` are never
     taken; a rejecting predicate may add to it, and the pending branches
     below the shallowest newly disabled link of the rejected path are then
-    dropped.
+    dropped.  A search that pops ``max_iterations`` entries without
+    finishing stops with status ``"budget"`` and returns its incumbent.
     """
     if stats is None:
         stats = SearchStats()
@@ -199,12 +218,15 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
     if cf is not None:
         cf_delays = cf.delays
         cf_costs = cf.costs
-    timed_out = False
+    stopped = None
     while stack:
+        if iterations >= max_iterations:
+            stopped = "budget"
+            break
         iterations += 1
         if deadline is not None and iterations & 1023 == 0 \
                 and time.monotonic() > deadline:
-            timed_out = True
+            stopped = "timeout"
             break
         node, dly, cst, depth, lid, s3 = pop()
         if disabled and lid in disabled:
@@ -269,8 +291,8 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
     stats.iterations += iterations
     stats.searched_fraction = min(searched, 1.0 + 1e-9)
     stats.elapsed_us += int((time.monotonic() - t0) * 1e6)
-    if timed_out:
-        stats.status = "timeout"
+    if stopped is not None:
+        stats.status = stopped
     else:
         stats.status = "infeasible" if best is None else "optimal"
     return (None if best is None else Path.from_links(net, best)), stats
@@ -287,31 +309,51 @@ def pulse_plus(net: Network, q: DrcrQuery,
 
     Precomputed destination-rooted trees and egress orderings may be passed
     in so that batch runs against one destination amortise the Dijkstra and
-    sort work.
+    sort work.  With ``opts.joint_pruning`` the plain-cut search runs first
+    under ``PLAIN_BUDGET`` iterations; only a query it cannot finish pays for
+    the cost-function build, capped at the incumbent ``UB`` it found, and a
+    joint-cut search that looks for a path cheaper than ``UB``.  The stats
+    count the iterations of both phases, and ``best_cost_trace`` stamps run
+    on from the first phase into the second.
     """
     if opts is None:
         opts = PulseOptions()
     if not (0 <= q.src < net.num_nodes and 0 <= q.dst < net.num_nodes):
         raise ValueError("query endpoint out of range")
-    stats = SearchStats()
     t0 = time.monotonic()
     delay_tree, cost_tree = _dst_trees(net, q.dst, delay_tree, cost_tree)
-    cf = None
-    if opts.joint_pruning:
-        cf_t0 = time.monotonic()
-        cf = compute_cost_functions(net, q.src, q.dst, q.U)
-        stats.cf_build_us = int((time.monotonic() - cf_t0) * 1e6)
     if egress_order is None:
         if opts.ldf:
             egress_order = ldf_order(net, delay_tree)
         else:
             egress_order = natural_order(net)
-    remaining = None
-    if opts.time_limit is not None:
-        remaining = max(0.0, opts.time_limit - (time.monotonic() - t0))
-    path, stats = run_pulse_search(
-        net, q.src, q.dst, q.L, q.U, delay_tree.dist, cost_tree.dist,
-        egress_order, cf=cf, time_limit=remaining, stats=stats)
+
+    def search(**kwargs) -> tuple[Optional[Path], SearchStats]:
+        remaining = None
+        if opts.time_limit is not None:
+            remaining = max(0.0, opts.time_limit - (time.monotonic() - t0))
+        return run_pulse_search(
+            net, q.src, q.dst, q.L, q.U, delay_tree.dist, cost_tree.dist,
+            egress_order, time_limit=remaining, **kwargs)
+
+    path, stats = search(max_iterations=PLAIN_BUDGET if opts.joint_pruning
+                         else sys.maxsize)
+    if stats.status == "budget":
+        ub = INF if path is None else path.cost
+        cf_t0 = time.monotonic()
+        cf = compute_cost_functions(net, q.src, q.dst, q.U, cap=ub)
+        cf_build_us = int((time.monotonic() - cf_t0) * 1e6)
+        better, joint = search(cf=cf, tmp_min=ub)
+        joint.cf_build_us = cf_build_us
+        joint.best_cost_trace = stats.best_cost_trace + [
+            (stats.iterations + i, c) for i, c in joint.best_cost_trace]
+        joint.iterations += stats.iterations
+        if better is not None:
+            path = better
+        elif path is not None and joint.status == "infeasible":
+            # nothing beats the incumbent: it is optimal
+            joint.status = "optimal"
+        stats = joint
     stats.elapsed_us = int((time.monotonic() - t0) * 1e6)
     return path, stats
 

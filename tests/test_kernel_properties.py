@@ -1,14 +1,20 @@
-"""Property tests of the search kernel on oracle-sized multigraphs.
+"""Property tests of the search kernel and the capped cost-function build
+on oracle-sized multigraphs.
 
 The generated nets have what ``conftest.random_net`` never produces: links
 with zero delay or cost, parallel links, ``L = 0``, ``U`` equal to the delay
 of some path, and ``delta = 0``.
 """
 
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
-from drcr.graph import Link, Network, is_elementary
+import drcr.pulse
+from drcr.costfn import compute_cost_functions, eval_cost_function
+from drcr.graph import Link, Network, build_forward_tree, is_elementary
 from drcr.oracle import (
+    brute_cost_function,
     brute_drcr,
     brute_srlg_drcr,
     enumerate_elementary_paths,
@@ -54,14 +60,42 @@ def test_solve_drcr_matches_oracle(data):
     L = data.draw(st.one_of(st.just(0), st.integers(0, U)))
     q = DrcrQuery(0, net.num_nodes - 1, L, U)
     expect = brute_drcr(net, q)
-    for opts in (PulseOptions(), PulseOptions(joint_pruning=True)):
-        p, stats = solve_drcr(net, q, opts)
+    # These nets never reach the default plain budget; the small budgets
+    # send joint pruning through the capped cost-function build.
+    runs = [(PulseOptions(), drcr.pulse.PLAIN_BUDGET)]
+    runs += [(PulseOptions(joint_pruning=True), b) for b in
+             (drcr.pulse.PLAIN_BUDGET, 0, 1, data.draw(st.integers(2, 40)))]
+    for opts, budget in runs:
+        with mock.patch.object(drcr.pulse, "PLAIN_BUDGET", budget):
+            p, stats = solve_drcr(net, q, opts)
         if expect is None:
             assert p is None and stats.status == "infeasible"
             continue
         assert stats.status == "optimal" and p.cost == expect[0]
         assert is_elementary(p) and L <= p.delay <= U
         assert (p.nodes[0], p.nodes[-1]) == (q.src, q.dst)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_capped_cost_functions_match_walk_dp_below_cap(data):
+    net = data.draw(multigraphs())
+    s, t = 0, net.num_nodes - 1
+    U = data.draw(st.integers(0, 12))
+    cap = data.draw(st.integers(0, 15))
+    cf = compute_cost_functions(net, s, t, U, cap=cap)
+    f = brute_cost_function(net, s, t, U)
+    min_delay = build_forward_tree(net, s, "delay").dist
+    min_cost = build_forward_tree(net, s, "cost").dist
+    for u in range(net.num_nodes):
+        for l in range(U + 1):
+            got = eval_cost_function(cf, u, l)
+            # a branch at u has cost >= min_cost[u] and a budget of at
+            # most U - min_delay[u]; below the cap it must see exact values
+            if l <= U - min_delay[u] and f[u][l] + min_cost[u] < cap:
+                assert got == f[u][l], (u, l)
+            else:
+                assert got >= f[u][l], (u, l)
 
 
 @settings(max_examples=300, deadline=None)

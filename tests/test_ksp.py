@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import drcr.pulse
 from conftest import random_net
 from drcr.graph import load_network
 from drcr.ksp import (
@@ -143,6 +144,20 @@ class TestLagrangianKsp:
         assert p.cost == 2
         p, stats = lagrangian_ksp_drcr(g1, q(g1, "s", "t", 5, 6))
         assert p is None and stats.status == "infeasible"
+
+    def test_classifies_once(self, g1, monkeypatch):
+        calls = []
+        real = drcr.pulse.build_reverse_tree
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(drcr.pulse, "build_reverse_tree", counted)
+        # a case-6 query: classified, then a multiplier is chosen
+        p, _ = lagrangian_ksp_drcr(g1, q(g1, "s", "t", 3, 5))
+        assert p.cost == 10
+        assert sorted(calls) == ["cost", "delay"]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_three_ksp_solvers_agree_with_oracle(self, seed):

@@ -6,7 +6,7 @@ import pytest
 
 import drcr.pulse
 from conftest import random_net
-from drcr.graph import build_reverse_tree, is_elementary, load_network
+from drcr.graph import INF, build_reverse_tree, is_elementary, load_network
 from drcr.oracle import brute_drcr
 from drcr.pulse import (
     DrcrCase,
@@ -104,41 +104,80 @@ class TestPulse:
         assert p is not None and stats.status == "optimal"
         assert stats.elapsed_us >= 40_000
 
+    def test_joint_pruning_builds_only_past_plain_budget(self, monkeypatch):
+        caps = []
+        real = drcr.pulse.compute_cost_functions
 
-# (status, cost, iterations, searched_fraction) under LDF, link order and
-# LDF + joint pruning for six case-4/6 queries.  Criteria 6 and 7 compare
-# iteration counts only as ratios; these exact figures change whenever the
-# egress order or the pop order does.
+        def counted(*args, cap):
+            caps.append(cap)
+            return real(*args, cap=cap)
+
+        monkeypatch.setattr(drcr.pulse, "compute_cost_functions", counted)
+        net = gen_er_network(GenConfig(n=300, p_mult=3, seed=31))
+        opts = PulseOptions(joint_pruning=True)
+        # the plain search finishes this one within its budget
+        _, stats = pulse_plus(net, gen_drcr_query(net, 500, 4), opts)
+        assert caps == [] and stats.cf_build_us == 0
+        # this one needs 2361 plain iterations: the build is capped at the
+        # plain phase's incumbent, which the joint phase then improves on
+        p, stats = pulse_plus(net, gen_drcr_query(net, 503, 6), opts)
+        assert stats.status == "optimal" and p.cost == 11
+        budget = drcr.pulse.PLAIN_BUDGET
+        plain = [c for i, c in stats.best_cost_trace if i <= budget]
+        assert caps == [plain[-1]] and p.cost < caps[0] < INF
+        # stamps run on from the plain phase into the joint phase
+        stamps = [i for i, _ in stats.best_cost_trace]
+        costs = [c for _, c in stats.best_cost_trace]
+        assert stamps == sorted(stamps)
+        assert budget < stamps[-1] <= stats.iterations
+        assert costs == sorted(set(costs), reverse=True) and costs[-1] == 11
+
+
+# (status, cost, iterations, searched_fraction) for six case-4/6 queries
+# under LDF, link order, LDF + joint pruning with the plain phase skipped
+# (PLAIN_BUDGET = 0: one uncapped cost-function build, then the joint-cut
+# search) and LDF + joint pruning in its default two phases.  Criteria 6
+# and 7 compare iteration counts only as ratios; these exact figures change
+# whenever the egress order, the pop order or the plain budget does.
 PINNED = [
     [("optimal", 9, 710, 0.9999999999999998),
      ("optimal", 9, 1571, 0.9999999999999999),
-     ("optimal", 9, 416, 0.9999999999999998)],
+     ("optimal", 9, 416, 0.9999999999999998),
+     ("optimal", 9, 710, 0.9999999999999998)],
     [("optimal", 7, 744, 1.0),
      ("optimal", 7, 2010, 1.0000000000000013),
-     ("optimal", 7, 544, 1.0)],
+     ("optimal", 7, 544, 1.0),
+     ("optimal", 7, 744, 1.0)],
     [("optimal", 10, 364, 1.0000000000000004),
      ("optimal", 10, 380, 0.9999999999999983),
-     ("optimal", 10, 151, 1.0000000000000013)],
+     ("optimal", 10, 151, 1.0000000000000013),
+     ("optimal", 10, 364, 1.0000000000000004)],
     [("optimal", 11, 2361, 0.9999999999999998),
      ("optimal", 11, 1436, 0.9999999999999991),
-     ("optimal", 11, 712, 0.9999999999999998)],
+     ("optimal", 11, 712, 0.9999999999999998),
+     ("optimal", 11, 1342, 0.9999999999999998)],
     [("optimal", 8, 1014, 1.000000000000002),
      ("optimal", 8, 421, 1.0000000000000002),
-     ("optimal", 8, 515, 1.000000000000002)],
+     ("optimal", 8, 515, 1.000000000000002),
+     ("optimal", 8, 1014, 1.000000000000002)],
     [("optimal", 7, 3559, 0.9999999999999923),
      ("optimal", 7, 2670, 0.9999999999999966),
-     ("optimal", 7, 750, 0.999999999999996)],
+     ("optimal", 7, 750, 0.999999999999996),
+     ("optimal", 7, 1431, 0.9999999999999958)],
 ]
 
 
-def test_search_order_pinned():
+def test_search_order_pinned(monkeypatch):
     net = gen_er_network(GenConfig(n=300, p_mult=3, seed=31))
-    configs = (PulseOptions(), PulseOptions(ldf=False),
-               PulseOptions(joint_pruning=True))
+    default = drcr.pulse.PLAIN_BUDGET
+    configs = ((PulseOptions(), default), (PulseOptions(ldf=False), default),
+               (PulseOptions(joint_pruning=True), 0),
+               (PulseOptions(joint_pruning=True), default))
     for i, expect in enumerate(PINNED):
         query = gen_drcr_query(net, 500 + i, 4 if i % 2 == 0 else 6)
         got = []
-        for opts in configs:
+        for opts, budget in configs:
+            monkeypatch.setattr(drcr.pulse, "PLAIN_BUDGET", budget)
             p, stats = pulse_plus(net, query, opts)
             got.append((stats.status, p.cost, stats.iterations,
                         stats.searched_fraction))
@@ -171,7 +210,11 @@ class TestLdfOrder:
 
 class TestAgainstOracle:
     @pytest.mark.parametrize("seed", range(40))
-    def test_random_instances(self, seed):
+    def test_random_instances(self, seed, monkeypatch):
+        # These nets never reach the default plain budget; budgets 0 and 1
+        # send joint pruning through the cost-function build, and 8 often
+        # builds it capped at a plain-phase incumbent.
+        budgets = (drcr.pulse.PLAIN_BUDGET, 0, 1, 8)
         rng = np.random.default_rng(seed + 9000)
         net = random_net(seed, int(rng.integers(4, 10)),
                          float(rng.choice([0.3, 0.5, 0.8])))
@@ -183,12 +226,18 @@ class TestAgainstOracle:
             U = L + int(rng.integers(0, 20))
             query = DrcrQuery(int(s), int(t), L, U)
             expect = brute_drcr(net, query)
-            for ldf, jp in itertools.product((True, False), repeat=2):
+            runs = [(ldf, False, budgets[0]) for ldf in (True, False)]
+            runs += itertools.product((True, False), (True,), budgets)
+            for ldf, jp, budget in runs:
+                monkeypatch.setattr(drcr.pulse, "PLAIN_BUDGET", budget)
                 p, stats = solve_drcr(net, query,
                                       PulseOptions(ldf=ldf, joint_pruning=jp))
                 if expect is None:
-                    assert p is None, (seed, query)
+                    assert p is None, (seed, query, budget)
+                    assert stats.status == "infeasible"
                 else:
-                    assert p is not None and p.cost == expect[0], (seed, query)
+                    assert p is not None and p.cost == expect[0], \
+                        (seed, query, budget)
+                    assert stats.status == "optimal"
                     assert is_elementary(p)
                     assert L <= p.delay <= U
