@@ -38,9 +38,9 @@ def main():
 
     print(f"{len(instances)} instances, styles={args.srlg_style}")
     print(f"{'delta':>6} {'trap':>6} {'nontrap':>8} {'infeasible':>11} "
-          f"{'trap-fraction':>14}")
+          f"{'timeout':>8} {'trap-fraction':>14}")
     for delta in args.deltas:
-        counts = {"trap": 0, "nontrap": 0, "infeasible": 0}
+        counts = {"trap": 0, "nontrap": 0, "infeasible": 0, "timeout": 0}
         for net, q in instances:
             verdict = classify_trap(
                 net, SrlgDrcrQuery(q.src, q.dst, q.U, delta),
@@ -48,7 +48,7 @@ def main():
             counts[verdict] += 1
         frac = counts["trap"] / len(instances)
         print(f"{delta:>6} {counts['trap']:>6} {counts['nontrap']:>8} "
-              f"{counts['infeasible']:>11} {frac:>14.3f}")
+              f"{counts['infeasible']:>11} {counts['timeout']:>8} {frac:>14.3f}")
 
 
 if __name__ == "__main__":

@@ -95,38 +95,31 @@ def _solve_one(net, q, algo: str, opts: PulseOptions,
     rec: dict = {"algo": algo}
     if algo == "pulse+":
         path, stats = solve_drcr(net, q, opts)
-        rec.update(status=stats.status, iterations=stats.iterations,
-                   elapsed_us=stats.elapsed_us)
         if opts.joint_pruning:
             rec["cf_build_us"] = stats.cf_build_us
-    elif algo in ("cost-ksp", "delay-ksp", "lagrangian-ksp"):
-        fn = {"cost-ksp": cost_ksp_drcr, "delay-ksp": delay_ksp_drcr,
-              "lagrangian-ksp": lagrangian_ksp_drcr}[algo]
-        path, stats = fn(net, q, limit)
-        rec.update(status=stats.status, iterations=stats.iterations,
-                   ksp_iterations=stats.iterations, elapsed_us=stats.elapsed_us)
-        if stats.lambda_value is not None:
-            rec["lambda"] = stats.lambda_value
     elif algo == "cose-pulse+":
         pair, stats = cose_pulse_plus(net, q, time_limit=limit)
-        path = pair.active if pair else None
-        rec.update(status=stats.status, iterations=stats.iterations,
-                   elapsed_us=stats.elapsed_us,
-                   conflict_sets_found=stats.conflict_sets_found,
+        rec.update(conflict_sets_found=stats.conflict_sets_found,
                    subinstances=stats.subinstances)
-        rec["backup_path"] = list(pair.backup.links) if pair else None
     else:
-        if algo == "srlg-lagrangian-ksp":
-            pair, stats = srlg_lagrangian_ksp(net, q, limit)
+        if algo in SRLG_ALGOS:
+            if algo == "srlg-lagrangian-ksp":
+                pair, stats = srlg_lagrangian_ksp(net, q, limit)
+            else:
+                order = "cost" if algo == "srlg-cost-ksp" else "delay"
+                pair, stats = srlg_ksp_drcr(net, q, order, limit)
         else:
-            order = "cost" if algo == "srlg-cost-ksp" else "delay"
-            pair, stats = srlg_ksp_drcr(net, q, order, limit)
-        path = pair.active if pair else None
-        rec.update(status=stats.status, iterations=stats.iterations,
-                   ksp_iterations=stats.iterations, elapsed_us=stats.elapsed_us)
+            fn = {"cost-ksp": cost_ksp_drcr, "delay-ksp": delay_ksp_drcr,
+                  "lagrangian-ksp": lagrangian_ksp_drcr}[algo]
+            path, stats = fn(net, q, limit)
+        rec["ksp_iterations"] = stats.iterations
         if stats.lambda_value is not None:
             rec["lambda"] = stats.lambda_value
+    if algo in SRLG_ALGOS:
+        path = pair.active if pair else None
         rec["backup_path"] = list(pair.backup.links) if pair else None
+    rec.update(status=stats.status, iterations=stats.iterations,
+               elapsed_us=stats.elapsed_us, timeout_phase=stats.timeout_phase)
     if path is not None:
         rec.update(cost=path.cost, delay=path.delay, path=list(path.links))
     else:

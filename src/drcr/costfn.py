@@ -14,8 +14,9 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Optional
 
-from .graph import INF, Network, build_forward_tree
+from .graph import INF, Deadline, Network, build_forward_tree
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,8 @@ class CostFunction:
 
 
 def compute_cost_functions(net: Network, s: int, t: int, U: int,
-                           cap: float = INF) -> CostFunction:
+                           cap: float = INF,
+                           deadline: Optional[Deadline] = None) -> CostFunction:
     """Smallest-cost-first reverse search from ``t``.
 
     Branches are cut when dominated by an already-kept pair or when even the
@@ -41,14 +43,15 @@ def compute_cost_functions(net: Network, s: int, t: int, U: int,
     only bound branches that cannot beat the incumbent.  Every value below
     the cap stays exact; values at or above it may grow.
     """
-    fwd_dist = build_forward_tree(net, s, "delay").dist
+    fwd_dist = build_forward_tree(net, s, "delay", deadline=deadline).dist
     # feasibility headroom U - min-delay(s -> v) and cost headroom
     # cap - min-cost(s -> v) per node
     slack = [U - d for d in fwd_dist]
     if cap == INF:
         room = [INF] * net.num_nodes
     else:
-        room = [cap - c for c in build_forward_tree(net, s, "cost").dist]
+        room = [cap - c for c in
+                build_forward_tree(net, s, "cost", deadline=deadline).dist]
     n = net.num_nodes
     delays: list[list[int]] = [[] for _ in range(n)]
     costs: list[list[int]] = [[] for _ in range(n)]
@@ -56,11 +59,16 @@ def compute_cost_functions(net: Network, s: int, t: int, U: int,
     ingress = net.ingress
     pop = heapq.heappop
     push = heapq.heappush
+    kept = 0
     while heap:
         cost, delay, u = pop(heap)
         dlist = delays[u]
         if dlist and dlist[-1] <= delay:
             continue
+        if kept & 63 == 0 and deadline is not None \
+                and deadline.expired("costfn.build"):
+            break
+        kept += 1
         dlist.append(delay)
         costs[u].append(cost)
         for v, d_e, c_e in ingress[u]:
@@ -81,11 +89,3 @@ def eval_cost_function(cf: CostFunction, u: int, budget: float) -> float:
     if idx == 0:
         return INF
     return cf.costs[u][idx - 1]
-
-
-def joint_prune(delay: int, cost: int, cf: CostFunction, u: int, U: int,
-                tmp_min: float) -> bool:
-    """True iff the branch ending at ``u`` cannot beat the incumbent."""
-    if delay > U:
-        return True
-    return cost + eval_cost_function(cf, u, U - delay) >= tmp_min

@@ -16,6 +16,7 @@ and are densified to ``0..n-1`` in order of first appearance.
 from __future__ import annotations
 
 import heapq
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -29,6 +30,40 @@ _SUM_LIMIT = 1 << 62
 
 class GraphFormatError(ValueError):
     """Raised when a graph file or link table violates the format contract."""
+
+
+class Deadline:
+    """One time limit for a whole solve, started at construction.
+
+    Each long-running layer calls :meth:`expired` on its first step, then
+    every 64 settled nodes, egress rows or kept labels (a check costs about
+    as much as settling a node) or 1024 search pops; once it is true the
+    layer stops and returns what it has, which proves nothing, so a layer
+    entered after that returns at once.  ``phase`` names the layer that
+    first found the limit passed; callers read it before they use a result.
+    """
+
+    def __init__(self, seconds: Optional[float] = None):
+        self.start = time.monotonic()
+        self.at = INF if seconds is None else self.start + seconds
+        self.phase: Optional[str] = None
+
+    def expired(self, phase: str) -> bool:
+        """True once the limit has passed (at once for a limit of 0)."""
+        if self.phase is None:
+            if time.monotonic() < self.at:
+                return False
+            self.phase = phase
+        return True
+
+
+def finish(stats, deadline: Deadline, status: str):
+    """Stamp a solve's ``status`` (``timeout`` once ``deadline`` expired),
+    ``timeout_phase`` and whole-call ``elapsed_us``; return ``stats``."""
+    stats.status = status if deadline.phase is None else "timeout"
+    stats.timeout_phase = deadline.phase
+    stats.elapsed_us = int((time.monotonic() - deadline.start) * 1e6)
+    return stats
 
 
 @dataclass(frozen=True)
@@ -203,7 +238,8 @@ def dijkstra(net: Network, root: int, weights: list[float], *,
              reverse: bool = False,
              disabled: Optional[set[int]] = None,
              banned_nodes: Iterable[int] = (),
-             target: Optional[int] = None) -> ShortestTree:
+             target: Optional[int] = None,
+             deadline: Optional[Deadline] = None) -> ShortestTree:
     """Shortest tree from (``reverse``: towards) ``root`` over link ``weights``.
 
     Disabled links and every link into (``reverse``: out of) a banned node
@@ -228,12 +264,17 @@ def dijkstra(net: Network, root: int, weights: list[float], *,
     heap: list[tuple[float, int]] = [(0, root)]
     done = [False] * n
     links = net.links
+    settled = 0
     while heap:
         d, u = heapq.heappop(heap)
         if done[u]:
             continue
         if u == target:
             break
+        if settled & 63 == 0 and deadline is not None \
+                and deadline.expired("graph.dijkstra"):
+            break
+        settled += 1
         done[u] = True
         for lid in adj[u]:
             if skip and lid in skip:
@@ -249,16 +290,17 @@ def dijkstra(net: Network, root: int, weights: list[float], *,
 
 
 def build_reverse_tree(net: Network, t: int, metric: str,
-                       disabled: Optional[set[int]] = None) -> ShortestTree:
+                       disabled: Optional[set[int]] = None,
+                       deadline: Optional[Deadline] = None) -> ShortestTree:
     """Destination-rooted shortest tree: dist[u] = min metric over u->t paths."""
     return dijkstra(net, t, net.weights(metric), reverse=True,
-                    disabled=disabled)
+                    disabled=disabled, deadline=deadline)
 
 
 def build_forward_tree(net: Network, s: int, metric: str,
-                       disabled: Optional[set[int]] = None) -> ShortestTree:
+                       deadline: Optional[Deadline] = None) -> ShortestTree:
     """Source-rooted shortest tree: dist[u] = min metric over s->u paths."""
-    return dijkstra(net, s, net.weights(metric), disabled=disabled)
+    return dijkstra(net, s, net.weights(metric), deadline=deadline)
 
 
 def load_network(text: str) -> Network:

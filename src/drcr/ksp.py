@@ -11,11 +11,10 @@ single-metric ordering.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graph import INF, Network, Path, dijkstra
+from .graph import INF, Deadline, Network, Path, dijkstra, finish
 from .pulse import DrcrCase, DrcrQuery, classify_case
 from .srlg import PathPair, SrlgDrcrQuery, backup_search
 
@@ -40,10 +39,9 @@ class WeightFn:
         return cls("lagrangian", lam)
 
     def link_weights(self, net: Network) -> list[float]:
-        if self.kind == "cost":
-            return [link.cost for link in net.links]
-        if self.kind == "delay":
-            return [link.delay for link in net.links]
+        """Per-link weights; the cost and delay lists are the network's own."""
+        if self.kind in ("cost", "delay"):
+            return net.weights(self.kind)
         if self.kind == "lagrangian":
             return [link.cost + self.lam * link.delay for link in net.links]
         raise ValueError(f"unknown weight kind {self.kind!r}")
@@ -62,9 +60,11 @@ class KspStats:
     iterations: int = 0
     lambda_value: Optional[float] = None
     elapsed_us: int = 0
+    timeout_phase: Optional[str] = None  # the layer that found the limit passed
 
 
-def yen_ksp(net: Network, s: int, t: int, w: WeightFn) -> Iterator[Path]:
+def yen_ksp(net: Network, s: int, t: int, w: WeightFn,
+            deadline: Optional[Deadline] = None) -> Iterator[Path]:
     """Loopless s->t paths in non-decreasing weight, lazily.
 
     Multigraph-aware: spur bans remove the specific deviating links, not the
@@ -84,6 +84,8 @@ def yen_ksp(net: Network, s: int, t: int, w: WeightFn) -> Iterator[Path]:
         nodes = current.nodes
         root_w = 0.0
         for i in range(len(cur_links)):
+            if deadline is not None and deadline.expired("ksp.yen"):
+                return
             root = cur_links[:i]
             banned_links = {p[i] for p in emitted
                             if len(p) > i and p[:i] == root}
@@ -100,26 +102,17 @@ def yen_ksp(net: Network, s: int, t: int, w: WeightFn) -> Iterator[Path]:
                    if candidates else None)
 
 
-def _finish(stats: KspStats, t0: float, status: str) -> KspStats:
-    stats.status = status
-    stats.elapsed_us = int((time.monotonic() - t0) * 1e6)
-    return stats
-
-
 def cost_ksp_drcr(net: Network, q: DrcrQuery,
                   time_limit: Optional[float] = None,
                   ) -> tuple[Optional[Path], KspStats]:
     """First delay-range-feasible path in cost order is optimal."""
     stats = KspStats()
-    t0 = time.monotonic()
-    deadline = None if time_limit is None else t0 + time_limit
-    for path in yen_ksp(net, q.src, q.dst, WeightFn.cost()):
+    deadline = Deadline(time_limit)
+    for path in yen_ksp(net, q.src, q.dst, WeightFn.cost(), deadline):
         stats.iterations += 1
-        if deadline is not None and time.monotonic() > deadline:
-            return None, _finish(stats, t0, "timeout")
         if q.L <= path.delay <= q.U:
-            return path, _finish(stats, t0, "optimal")
-    return None, _finish(stats, t0, "infeasible")
+            return path, finish(stats, deadline, "optimal")
+    return None, finish(stats, deadline, "infeasible")
 
 
 def delay_ksp_drcr(net: Network, q: DrcrQuery,
@@ -127,18 +120,15 @@ def delay_ksp_drcr(net: Network, q: DrcrQuery,
                    ) -> tuple[Optional[Path], KspStats]:
     """Enumerate in delay order up to U, keep the cheapest in-range path."""
     stats = KspStats()
-    t0 = time.monotonic()
-    deadline = None if time_limit is None else t0 + time_limit
+    deadline = Deadline(time_limit)
     best: Optional[Path] = None
-    for path in yen_ksp(net, q.src, q.dst, WeightFn.delay()):
+    for path in yen_ksp(net, q.src, q.dst, WeightFn.delay(), deadline):
         stats.iterations += 1
-        if deadline is not None and time.monotonic() > deadline:
-            return best, _finish(stats, t0, "timeout")
         if path.delay > q.U:
             break
         if path.delay >= q.L and (best is None or path.cost < best.cost):
             best = path
-    return best, _finish(stats, t0, "optimal" if best else "infeasible")
+    return best, finish(stats, deadline, "optimal" if best else "infeasible")
 
 
 @dataclass(frozen=True)
@@ -167,7 +157,7 @@ _BISECT_TOL = 1e-6
 def _min_weight_delay(net: Network, s: int, t: int, lam: float,
                       ) -> tuple[float, int]:
     """Weight and delay of a min-(c + lam*d)-weight s->t path."""
-    weights = [link.cost + lam * link.delay for link in net.links]
+    weights = WeightFn.lagrangian(lam).link_weights(net)
     path = dijkstra(net, s, weights, target=t).path_from(net, t)
     if path is None:
         return INF, 0
@@ -256,29 +246,26 @@ def lagrangian_ksp_drcr(net: Network, q: DrcrQuery,
     reaches incumbent_cost + max{lambda*L, lambda*U}.
     """
     stats = KspStats()
-    t0 = time.monotonic()
-    deadline = None if time_limit is None else t0 + time_limit
+    deadline = Deadline(time_limit)
     case, ready = classify_case(net, q)
     if case is DrcrCase.INFEASIBLE:
-        return None, _finish(stats, t0, "infeasible")
+        return None, finish(stats, deadline, "infeasible")
     if ready is not None:
         stats.lambda_value = 0.0
-        return ready, _finish(stats, t0, "optimal")
+        return ready, finish(stats, deadline, "optimal")
     sel = choose_lambda(net, q, case)
     lam = sel.lambda_star
     stats.lambda_value = lam
     w = WeightFn.lagrangian(lam)
     offset = max(lam * q.L, lam * q.U)
     best: Optional[Path] = None
-    for path in yen_ksp(net, q.src, q.dst, w):
+    for path in yen_ksp(net, q.src, q.dst, w, deadline):
         stats.iterations += 1
-        if deadline is not None and time.monotonic() > deadline:
-            return best, _finish(stats, t0, "timeout")
         if best is not None and w.path_weight(path) >= best.cost + offset + _STOP_SLACK:
             break
         if q.L <= path.delay <= q.U and (best is None or path.cost < best.cost):
             best = path
-    return best, _finish(stats, t0, "optimal" if best else "infeasible")
+    return best, finish(stats, deadline, "optimal" if best else "infeasible")
 
 
 def srlg_ksp_drcr(net: Network, q: SrlgDrcrQuery, order: str = "cost",
@@ -288,22 +275,19 @@ def srlg_ksp_drcr(net: Network, q: SrlgDrcrQuery, order: str = "cost",
     if order not in ("cost", "delay"):
         raise ValueError(f"unknown enumeration order {order!r}")
     stats = KspStats()
-    t0 = time.monotonic()
-    deadline = None if time_limit is None else t0 + time_limit
+    deadline = Deadline(time_limit)
     w = WeightFn.cost() if order == "cost" else WeightFn.delay()
-    for active in yen_ksp(net, q.src, q.dst, w):
+    # A backup search that times out ends the enumeration at its next spur.
+    for active in yen_ksp(net, q.src, q.dst, w, deadline):
         stats.iterations += 1
-        if deadline is not None and time.monotonic() > deadline:
-            return None, _finish(stats, t0, "timeout")
         if active.delay > q.U:
             if order == "delay":
                 break
             continue
-        remaining = None if deadline is None else deadline - time.monotonic()
-        backup = backup_search(net, active, q.U, q.delta, remaining)
+        backup = backup_search(net, active, q.U, q.delta, deadline)
         if backup is not None:
-            return PathPair(active, backup), _finish(stats, t0, "optimal")
-    return None, _finish(stats, t0, "infeasible")
+            return PathPair(active, backup), finish(stats, deadline, "optimal")
+    return None, finish(stats, deadline, "infeasible")
 
 
 def srlg_lagrangian_ksp(net: Network, q: SrlgDrcrQuery,
@@ -316,37 +300,31 @@ def srlg_lagrangian_ksp(net: Network, q: SrlgDrcrQuery,
     outstanding (its cost plus lambda*U is at most the next dual weight).
     """
     stats = KspStats()
-    t0 = time.monotonic()
-    deadline = None if time_limit is None else t0 + time_limit
+    deadline = Deadline(time_limit)
     big = sum(link.cost for link in net.links) + 1.0
     w0, d0 = _min_weight_delay(net, q.src, q.dst, 0.0)
     if w0 == INF:
-        return None, _finish(stats, t0, "infeasible")
+        return None, finish(stats, deadline, "infeasible")
     if d0 <= q.U:
         lam = 0.0
     else:
         lam, _g = _bisect_lambda(net, q.src, q.dst, 0, q.U, 0.0, big, q.U)
     stats.lambda_value = lam
     w = WeightFn.lagrangian(lam)
-    gen = yen_ksp(net, q.src, q.dst, w)
+    gen = yen_ksp(net, q.src, q.dst, w, deadline)
     heap: list[tuple[int, int, Path]] = []
     counter = 0
     nxt: Optional[Path] = next(gen, None)
     while True:
-        if deadline is not None and time.monotonic() > deadline:
-            return None, _finish(stats, t0, "timeout")
         nxt_w = None if nxt is None else w.path_weight(nxt)
-        while heap and (nxt_w is None
-                        or heap[0][0] + lam * q.U <= nxt_w + _STOP_SLACK):
+        while heap and deadline.phase is None and (
+                nxt_w is None or heap[0][0] + lam * q.U <= nxt_w + _STOP_SLACK):
             _cost, _n, active = heapq.heappop(heap)
-            remaining = None if deadline is None else deadline - time.monotonic()
-            backup = backup_search(net, active, q.U, q.delta, remaining)
+            backup = backup_search(net, active, q.U, q.delta, deadline)
             if backup is not None:
-                return PathPair(active, backup), _finish(stats, t0, "optimal")
-            if deadline is not None and time.monotonic() > deadline:
-                return None, _finish(stats, t0, "timeout")
-        if nxt is None:
-            return None, _finish(stats, t0, "infeasible")
+                return PathPair(active, backup), finish(stats, deadline, "optimal")
+        if nxt is None or deadline.phase is not None:
+            return None, finish(stats, deadline, "infeasible")
         stats.iterations += 1
         if nxt.delay <= q.U:
             counter += 1

@@ -22,10 +22,12 @@ from typing import Callable, Optional, Sequence
 
 from .graph import (
     INF,
+    Deadline,
     Network,
     Path,
     ShortestTree,
     build_reverse_tree,
+    finish,
 )
 from .costfn import CostFunction, compute_cost_functions
 
@@ -67,12 +69,13 @@ class PulseOptions:
     (``PLAIN_BUDGET``) first, whose answer is returned when it finishes in
     budget; otherwise the cost functions are built capped at that search's
     incumbent cost and a joint-cut search seeded with the incumbent proves
-    or improves it.  ``time_limit`` bounds both phases together.
+    or improves it.  ``time_limit`` (seconds) bounds the whole call, tree
+    builds included.
     """
 
     ldf: bool = True
     joint_pruning: bool = False
-    time_limit: Optional[float] = None  # seconds
+    time_limit: Optional[float] = None
 
 
 @dataclass
@@ -84,17 +87,22 @@ class SearchStats:
     best_cost_trace: list[tuple[int, int]] = field(default_factory=list)
     elapsed_us: int = 0
     cf_build_us: int = 0
+    timeout_phase: Optional[str] = None  # the layer that found the limit passed
 
 
-def _dst_trees(net: Network, dst: int,
+def _dst_trees(net: Network, q: DrcrQuery,
                delay_tree: Optional[ShortestTree],
                cost_tree: Optional[ShortestTree],
+               deadline: Optional[Deadline] = None,
                ) -> tuple[ShortestTree, ShortestTree]:
-    """The delay and cost trees rooted at ``dst``, built where not given."""
+    """Check ``q``'s endpoints; the delay and cost trees rooted at its
+    destination, built where not given."""
+    if not (0 <= q.src < net.num_nodes and 0 <= q.dst < net.num_nodes):
+        raise ValueError("query endpoint out of range")
     if delay_tree is None:
-        delay_tree = build_reverse_tree(net, dst, "delay")
+        delay_tree = build_reverse_tree(net, q.dst, "delay", deadline=deadline)
     if cost_tree is None:
-        cost_tree = build_reverse_tree(net, dst, "cost")
+        cost_tree = build_reverse_tree(net, q.dst, "cost", deadline=deadline)
     return delay_tree, cost_tree
 
 
@@ -107,9 +115,7 @@ def classify_case(net: Network, q: DrcrQuery,
     Returns the min-cost path as the ready-made optimum for the two trivial
     cases where it already satisfies the delay range.
     """
-    if not (0 <= q.src < net.num_nodes and 0 <= q.dst < net.num_nodes):
-        raise ValueError("query endpoint out of range")
-    delay_tree, cost_tree = _dst_trees(net, q.dst, delay_tree, cost_tree)
+    delay_tree, cost_tree = _dst_trees(net, q, delay_tree, cost_tree)
     d_min_delay = delay_tree.dist[q.src]
     if d_min_delay == INF or q.U < d_min_delay:
         return DrcrCase.INFEASIBLE, None
@@ -129,7 +135,9 @@ def classify_case(net: Network, q: DrcrQuery,
 
 
 def ldf_order(net: Network, tree: ShortestTree,
-              disabled: Optional[set[int]] = None) -> list[list[tuple[int, int, int, int]]]:
+              disabled: Optional[set[int]] = None,
+              deadline: Optional[Deadline] = None,
+              ) -> list[list[tuple[int, int, int, int]]]:
     """Per-node egress lists ``(dst, delay, cost, link_id)`` for LDF search.
 
     Lists ascend in ``w(e) = d(e) + d_min_delay(To(e) -> t)`` (ties by link
@@ -139,6 +147,9 @@ def ldf_order(net: Network, tree: ShortestTree,
     dist = tree.dist
     order: list[list[tuple[int, int, int, int]]] = []
     for u in range(net.num_nodes):
+        if u & 63 == 0 and deadline is not None \
+                and deadline.expired("pulse.egress"):
+            break
         entries = []
         for lid in net.out_adj[u]:
             if disabled is not None and lid in disabled:
@@ -151,15 +162,12 @@ def ldf_order(net: Network, tree: ShortestTree,
     return order
 
 
-def natural_order(net: Network,
-                  disabled: Optional[set[int]] = None) -> list[list[tuple[int, int, int, int]]]:
+def natural_order(net: Network) -> list[list[tuple[int, int, int, int]]]:
     """Egress lists in link-id order (the non-LDF baseline)."""
     order: list[list[tuple[int, int, int, int]]] = []
     for u in range(net.num_nodes):
         entries = []
         for lid in net.out_adj[u]:
-            if disabled is not None and lid in disabled:
-                continue
             link = net.links[lid]
             entries.append((link.dst, link.delay, link.cost, lid))
         order.append(entries)
@@ -173,8 +181,7 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
                      tmp_min: float = INF,
                      first_feasible: bool = False,
                      cf: Optional[CostFunction] = None,
-                     time_limit: Optional[float] = None,
-                     stats: Optional[SearchStats] = None,
+                     deadline: Optional[Deadline] = None,
                      accept: Optional[Callable[[list[int], int], bool]] = None,
                      link_masks: Optional[list[int]] = None,
                      conflict_masks: Sequence[int] = (),
@@ -196,14 +203,10 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
     dropped.  A search that pops ``max_iterations`` entries without
     finishing stops with status ``"budget"`` and returns its incumbent.
     """
-    if stats is None:
-        stats = SearchStats()
-    t0 = time.monotonic()
-    deadline = None if time_limit is None else t0 + time_limit
     best: Optional[list[int]] = None
     searched = 0.0
     iterations = 0
-    trace = stats.best_cost_trace
+    trace: list[tuple[int, int]] = []
     n = net.num_nodes
     on_path = [False] * n
     path_nodes = [s] * n  # node at each depth of the current path
@@ -224,9 +227,8 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
             stopped = "budget"
             break
         iterations += 1
-        if deadline is not None and iterations & 1023 == 0 \
-                and time.monotonic() > deadline:
-            stopped = "timeout"
+        if iterations & 1023 == 1 and deadline is not None \
+                and deadline.expired("pulse.search"):
             break
         node, dly, cst, depth, lid, s3 = pop()
         if disabled and lid in disabled:
@@ -288,14 +290,47 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
         depth += 1
         for to, d_e, c_e, elid in kids:
             push((to, dly + d_e, cst + c_e, depth, elid, child_s3))
-    stats.iterations += iterations
-    stats.searched_fraction = min(searched, 1.0 + 1e-9)
-    stats.elapsed_us += int((time.monotonic() - t0) * 1e6)
-    if stopped is not None:
-        stats.status = stopped
-    else:
-        stats.status = "infeasible" if best is None else "optimal"
+    status = stopped or ("infeasible" if best is None else "optimal")
+    stats = SearchStats(status, iterations, min(searched, 1.0 + 1e-9), trace)
     return (None if best is None else Path.from_links(net, best)), stats
+
+
+def _search(net: Network, q: DrcrQuery, opts: PulseOptions, deadline: Deadline,
+            delay_tree: ShortestTree, cost_tree: ShortestTree,
+            egress_order: Optional[list[list[tuple[int, int, int, int]]]],
+            ) -> tuple[Optional[Path], SearchStats]:
+    """The search phases of :func:`pulse_plus` on built trees."""
+    if egress_order is None:
+        egress_order = (ldf_order(net, delay_tree, deadline=deadline)
+                        if opts.ldf else natural_order(net))
+
+    def search(**kwargs) -> tuple[Optional[Path], SearchStats]:
+        return run_pulse_search(
+            net, q.src, q.dst, q.L, q.U, delay_tree.dist, cost_tree.dist,
+            egress_order, deadline=deadline, **kwargs)
+
+    path, stats = search(max_iterations=PLAIN_BUDGET if opts.joint_pruning
+                         else sys.maxsize)
+    if stats.status == "budget":
+        ub = INF if path is None else path.cost
+        cf_t0 = time.monotonic()
+        cf = compute_cost_functions(net, q.src, q.dst, q.U, cap=ub,
+                                    deadline=deadline)
+        stats.cf_build_us = int((time.monotonic() - cf_t0) * 1e6)
+        if deadline.phase is not None:
+            return path, stats
+        better, joint = search(cf=cf, tmp_min=ub)
+        joint.cf_build_us = stats.cf_build_us
+        joint.best_cost_trace = stats.best_cost_trace + [
+            (stats.iterations + i, c) for i, c in joint.best_cost_trace]
+        joint.iterations += stats.iterations
+        if better is not None:
+            path = better
+        elif path is not None and joint.status == "infeasible":
+            # nothing beats the incumbent: it is optimal
+            joint.status = "optimal"
+        stats = joint
+    return path, stats
 
 
 def pulse_plus(net: Network, q: DrcrQuery,
@@ -314,48 +349,14 @@ def pulse_plus(net: Network, q: DrcrQuery,
     the cost-function build, capped at the incumbent ``UB`` it found, and a
     joint-cut search that looks for a path cheaper than ``UB``.  The stats
     count the iterations of both phases, and ``best_cost_trace`` stamps run
-    on from the first phase into the second.
+    on from the first phase into the second.  Once ``opts.time_limit``
+    passes, the status is ``timeout`` and the path the best found, if any.
     """
-    if opts is None:
-        opts = PulseOptions()
-    if not (0 <= q.src < net.num_nodes and 0 <= q.dst < net.num_nodes):
-        raise ValueError("query endpoint out of range")
-    t0 = time.monotonic()
-    delay_tree, cost_tree = _dst_trees(net, q.dst, delay_tree, cost_tree)
-    if egress_order is None:
-        if opts.ldf:
-            egress_order = ldf_order(net, delay_tree)
-        else:
-            egress_order = natural_order(net)
-
-    def search(**kwargs) -> tuple[Optional[Path], SearchStats]:
-        remaining = None
-        if opts.time_limit is not None:
-            remaining = max(0.0, opts.time_limit - (time.monotonic() - t0))
-        return run_pulse_search(
-            net, q.src, q.dst, q.L, q.U, delay_tree.dist, cost_tree.dist,
-            egress_order, time_limit=remaining, **kwargs)
-
-    path, stats = search(max_iterations=PLAIN_BUDGET if opts.joint_pruning
-                         else sys.maxsize)
-    if stats.status == "budget":
-        ub = INF if path is None else path.cost
-        cf_t0 = time.monotonic()
-        cf = compute_cost_functions(net, q.src, q.dst, q.U, cap=ub)
-        cf_build_us = int((time.monotonic() - cf_t0) * 1e6)
-        better, joint = search(cf=cf, tmp_min=ub)
-        joint.cf_build_us = cf_build_us
-        joint.best_cost_trace = stats.best_cost_trace + [
-            (stats.iterations + i, c) for i, c in joint.best_cost_trace]
-        joint.iterations += stats.iterations
-        if better is not None:
-            path = better
-        elif path is not None and joint.status == "infeasible":
-            # nothing beats the incumbent: it is optimal
-            joint.status = "optimal"
-        stats = joint
-    stats.elapsed_us = int((time.monotonic() - t0) * 1e6)
-    return path, stats
+    opts = opts or PulseOptions()
+    deadline = Deadline(opts.time_limit)
+    trees = _dst_trees(net, q, delay_tree, cost_tree, deadline)
+    path, stats = _search(net, q, opts, deadline, *trees, egress_order)
+    return path, finish(stats, deadline, stats.status)
 
 
 def solve_drcr(net: Network, q: DrcrQuery,
@@ -366,18 +367,19 @@ def solve_drcr(net: Network, q: DrcrQuery,
                egress_order=None) -> tuple[Optional[Path], SearchStats]:
     """Case-classify then dispatch: trivial cases bypass the search.
 
-    ``elapsed_us`` covers the whole call, tree builds included.
+    ``elapsed_us`` and ``opts.time_limit`` cover the whole call.
     """
-    t0 = time.monotonic()
-    delay_tree, cost_tree = _dst_trees(net, q.dst, delay_tree, cost_tree)
-    case, ready = classify_case(net, q, delay_tree, cost_tree)
-    if case is DrcrCase.INFEASIBLE:
-        path, stats = None, SearchStats(status="infeasible")
-    elif ready is not None:
-        path, stats = ready, SearchStats(status="optimal", searched_fraction=1.0,
-                                         best_cost_trace=[(0, ready.cost)])
-    else:
-        path, stats = pulse_plus(net, q, opts, delay_tree=delay_tree,
-                                 cost_tree=cost_tree, egress_order=egress_order)
-    stats.elapsed_us = int((time.monotonic() - t0) * 1e6)
-    return path, stats
+    opts = opts or PulseOptions()
+    deadline = Deadline(opts.time_limit)
+    delay_tree, cost_tree = _dst_trees(net, q, delay_tree, cost_tree, deadline)
+    path, stats = None, SearchStats()
+    if deadline.phase is None:
+        case, ready = classify_case(net, q, delay_tree, cost_tree)
+        if ready is not None:
+            path, stats = ready, SearchStats(
+                status="optimal", searched_fraction=1.0,
+                best_cost_trace=[(0, ready.cost)])
+        elif case is not DrcrCase.INFEASIBLE:
+            path, stats = _search(net, q, opts, deadline, delay_tree,
+                                  cost_tree, egress_order)
+    return path, finish(stats, deadline, stats.status)

@@ -9,16 +9,17 @@ disables its link; including one forces the link onto the active path.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .graph import (
     INF,
+    Deadline,
     Network,
     Path,
     build_reverse_tree,
+    finish,
     is_elementary,
     srlgs_of_path,
 )
@@ -79,6 +80,7 @@ class CoseStats:
     iterations: int = 0
     elapsed_us: int = 0
     conflict_sets: list["ConflictSet"] = field(default_factory=list)
+    timeout_phase: Optional[str] = None  # the layer that found the limit passed
 
 
 def _links_of_srlgs(net: Network, srlg_ids) -> set[int]:
@@ -93,7 +95,7 @@ def _links_of_srlgs(net: Network, srlg_ids) -> set[int]:
 
 
 def backup_search(net: Network, active: Path, U: int, delta: int,
-                  time_limit: Optional[float] = None) -> Optional[Path]:
+                  deadline: Optional[Deadline] = None) -> Optional[Path]:
     """First feasible Srlg-disjoint companion for ``active``, or None.
 
     Runs on the subgraph with every link of the active path's Srlgs removed,
@@ -107,19 +109,20 @@ def backup_search(net: Network, active: Path, U: int, delta: int,
     s, t = active.nodes[0], active.nodes[-1]
     lo = max(0, active.delay - delta)
     hi = min(U, active.delay + delta)
-    delay_tree = build_reverse_tree(net, t, "delay", disabled=disabled)
+    delay_tree = build_reverse_tree(net, t, "delay", disabled=disabled,
+                                    deadline=deadline)
     if delay_tree.dist[s] > hi:
         return None
-    egress = ldf_order(net, delay_tree, disabled=disabled)
+    egress = ldf_order(net, delay_tree, disabled=disabled, deadline=deadline)
     path, _stats = run_pulse_search(
         net, s, t, lo, hi, delay_tree.dist, [0] * net.num_nodes, egress,
-        first_feasible=True, time_limit=time_limit)
+        first_feasible=True, deadline=deadline)
     return path
 
 
 def find_conflict_set(net: Network, active: Path, U: int,
                       pick: str = "largest",
-                      time_limit: Optional[float] = None,
+                      deadline: Optional[Deadline] = None,
                       stats: Optional[CoseStats] = None) -> Optional[ConflictSet]:
     """DFS over U-feasible paths, knocking out one shared Srlg per hit.
 
@@ -132,11 +135,12 @@ def find_conflict_set(net: Network, active: Path, U: int,
     with the most links (ties to the lowest id); ``first-link`` scans the
     active path and takes the largest group on its first conflicted link.
     """
+    deadline = deadline or Deadline()
     active_omega = srlgs_of_path(net, active)
     s, t = active.nodes[0], active.nodes[-1]
-    delay_tree = build_reverse_tree(net, t, "delay")
+    delay_tree = build_reverse_tree(net, t, "delay", deadline=deadline)
     links = net.links
-    egress = ldf_order(net, delay_tree)
+    egress = ldf_order(net, delay_tree, deadline=deadline)
     disabled: set[int] = set()
     found: list[int] = []
 
@@ -152,13 +156,13 @@ def find_conflict_set(net: Network, active: Path, U: int,
 
     companion, search = run_pulse_search(
         net, s, t, 0, U, delay_tree.dist, [0] * net.num_nodes, egress,
-        first_feasible=True, time_limit=time_limit, accept=disjoint,
+        first_feasible=True, deadline=deadline, accept=disjoint,
         disabled=disabled)
-    if search.status == "timeout":
-        raise SolverTimeout("conflict-set search timed out")
     if stats is not None:
         stats.iterations += search.iterations
-    return None if companion is not None else ConflictSet(frozenset(found))
+    if companion is not None or deadline.phase is not None:
+        return None
+    return ConflictSet(frozenset(found))
 
 
 def _pick_srlg(net: Network, active: Path, candidates: set[int], pick: str) -> int:
@@ -173,15 +177,11 @@ def _pick_srlg(net: Network, active: Path, candidates: set[int], pick: str) -> i
     return max(candidates, key=lambda r: (len(net.srlgs[r].links), -r))
 
 
-class SolverTimeout(Exception):
-    pass
-
-
 def ap_pulse_plus(net: Network, src: int, dst: int, U: int,
                   instance: SubInstance,
                   conflicts: list[ConflictSet],
                   tmp_min: float = INF,
-                  time_limit: Optional[float] = None,
+                  deadline: Optional[Deadline] = None,
                   stats: Optional[CoseStats] = None) -> Optional[Path]:
     """Min-cost active-path search under include/exclude/conflict constraints.
 
@@ -190,12 +190,17 @@ def ap_pulse_plus(net: Network, src: int, dst: int, U: int,
     additionally used as a cut on partial paths.  Only paths costing less
     than ``tmp_min`` are returned.
     """
+    deadline = deadline or Deadline()
     disabled = _links_of_srlgs(net, instance.exclude)
-    delay_tree = build_reverse_tree(net, dst, "delay", disabled=disabled)
-    if delay_tree.dist[src] > U:
+    delay_tree = build_reverse_tree(net, dst, "delay", disabled=disabled,
+                                    deadline=deadline)
+    if deadline.phase is not None or delay_tree.dist[src] > U:
         return None
-    cost_tree = build_reverse_tree(net, dst, "cost", disabled=disabled)
-    egress = ldf_order(net, delay_tree, disabled=disabled)
+    cost_tree = build_reverse_tree(net, dst, "cost", disabled=disabled,
+                                   deadline=deadline)
+    egress = ldf_order(net, delay_tree, disabled=disabled, deadline=deadline)
+    if deadline.phase is not None:
+        return None
 
     # Only Srlgs named by the inclusion set or some conflict set need to be
     # tracked on partial paths; everything else cannot change a verdict.
@@ -203,16 +208,10 @@ def ap_pulse_plus(net: Network, src: int, dst: int, U: int,
     for cs in conflicts:
         universe |= cs.srlgs
     bit_of = {r: i for i, r in enumerate(sorted(universe))}
-    link_masks = [0] * len(net.links)
-    for link in net.links:
-        m = 0
-        for r in link.srlgs:
-            if r in bit_of:
-                m |= 1 << bit_of[r]
-        syn = -(link.id + 1)
-        if syn in bit_of:
-            m |= 1 << bit_of[syn]
-        link_masks[link.id] = m
+    link_masks = [0] * len(net.links) if bit_of else None
+    for r, bit in bit_of.items():
+        for lid in _links_of_srlgs(net, (r,)):
+            link_masks[lid] |= 1 << bit
     include_mask = 0
     for r in instance.include:
         include_mask |= 1 << bit_of[r]
@@ -229,10 +228,8 @@ def ap_pulse_plus(net: Network, src: int, dst: int, U: int,
 
     path, search = run_pulse_search(
         net, src, dst, 0, U, delay_tree.dist, cost_tree.dist, egress,
-        tmp_min=tmp_min, time_limit=time_limit, accept=allowed,
+        tmp_min=tmp_min, deadline=deadline, accept=allowed,
         link_masks=link_masks, conflict_masks=conflict_masks)
-    if search.status == "timeout":
-        raise SolverTimeout("active-path search timed out")
     if stats is not None:
         stats.iterations += search.iterations
     return path
@@ -247,59 +244,49 @@ def cose_pulse_plus(net: Network, q: SrlgDrcrQuery,
 
     ``first_pair`` stops at the first feasible pair (feasibility testing,
     e.g. trap classification) instead of driving the active cost to the
-    proven minimum.
+    proven minimum.  Once ``time_limit`` (seconds) passes, the status is
+    ``timeout`` and the pair the best found, if any.
     """
     stats = CoseStats()
-    t0 = time.monotonic()
-    deadline = None if time_limit is None else t0 + time_limit
-
-    def remaining() -> Optional[float]:
-        if deadline is None:
-            return None
-        return deadline - time.monotonic()
-
+    deadline = Deadline(time_limit)
     queue: deque[SubInstance] = deque([SubInstance(frozenset(), frozenset())])
     seen = {(frozenset(), frozenset())}
     conflicts: list[ConflictSet] = []
     tmp_min: float = INF
     best: Optional[PathPair] = None
-    try:
-        while queue:
-            if deadline is not None and time.monotonic() > deadline:
-                raise SolverTimeout("instance queue not drained")
-            inst = queue.popleft()
-            stats.subinstances += 1
-            active = ap_pulse_plus(net, q.src, q.dst, q.U, inst, conflicts,
-                                   tmp_min, remaining(), stats)
-            if active is None:
-                continue
-            backup = backup_search(net, active, q.U, q.delta, remaining())
-            if backup is not None:
-                tmp_min = active.cost
-                best = PathPair(active, backup)
-                if first_pair:
-                    break
-                continue
-            cs = find_conflict_set(net, active, q.U, pick, remaining(), stats)
-            if cs is not None:
-                conflicts.append(cs)
-                stats.conflict_sets_found += 1
-                stats.conflict_sets.append(cs)
-                branch = sorted(r for r in cs.srlgs if r not in inst.include)
-            else:
-                branch = [-(lid + 1) for lid in active.links
-                          if -(lid + 1) not in inst.include]
-            for i, r in enumerate(branch):
-                child = SubInstance(inst.include | frozenset(branch[:i]),
-                                    inst.exclude | {r})
-                key = (child.include, child.exclude)
-                if key not in seen:
-                    seen.add(key)
-                    queue.append(child)
-    except SolverTimeout:
-        stats.status = "timeout"
-        stats.elapsed_us = int((time.monotonic() - t0) * 1e6)
-        return best, stats
-    stats.status = "optimal" if best is not None else "infeasible"
-    stats.elapsed_us = int((time.monotonic() - t0) * 1e6)
-    return best, stats
+    # A layer that times out sets deadline.phase; later layers return at
+    # once, and the loop test ends the queue.
+    while queue and not deadline.expired("srlg.queue"):
+        inst = queue.popleft()
+        stats.subinstances += 1
+        active = ap_pulse_plus(net, q.src, q.dst, q.U, inst, conflicts,
+                               tmp_min, deadline, stats)
+        if active is None or deadline.phase is not None:
+            continue
+        backup = backup_search(net, active, q.U, q.delta, deadline)
+        if backup is not None:
+            tmp_min = active.cost
+            best = PathPair(active, backup)
+            if first_pair:
+                break
+            continue
+        cs = find_conflict_set(net, active, q.U, pick, deadline, stats)
+        if deadline.phase is not None:
+            continue
+        if cs is not None:
+            conflicts.append(cs)
+            stats.conflict_sets_found += 1
+            stats.conflict_sets.append(cs)
+            branch = sorted(r for r in cs.srlgs if r not in inst.include)
+        else:
+            branch = [-(lid + 1) for lid in active.links
+                      if -(lid + 1) not in inst.include]
+        for i, r in enumerate(branch):
+            child = SubInstance(inst.include | frozenset(branch[:i]),
+                                inst.exclude | {r})
+            key = (child.include, child.exclude)
+            if key not in seen:
+                seen.add(key)
+                queue.append(child)
+    return best, finish(stats, deadline,
+                        "optimal" if best is not None else "infeasible")

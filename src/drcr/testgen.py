@@ -14,7 +14,7 @@ import numpy as np
 
 from .graph import INF, Link, Network, build_reverse_tree
 from .pulse import DrcrCase, DrcrQuery, classify_case
-from .srlg import SrlgDrcrQuery, SubInstance, ap_pulse_plus, backup_search
+from .srlg import SrlgDrcrQuery, cose_pulse_plus
 
 MAX_QUERY_RETRIES = 1000
 
@@ -186,25 +186,18 @@ def gen_srlg_query(net: Network, seed: int, delta: int) -> SrlgDrcrQuery:
 
 def classify_trap(net: Network, q: SrlgDrcrQuery,
                   time_limit: Optional[float] = None) -> str:
-    """Label an instance ``trap``, ``nontrap`` or ``infeasible``.
+    """Label an instance ``trap``, ``nontrap``, ``infeasible`` or ``timeout``.
 
     Trap: the unconstrained min-cost active path has no valid backup, yet
-    some dearer active does.  Detected by attempting the first active path
-    directly, then falling back to the full pair solver for feasibility.
+    some dearer active does.  The pair solver's first sub-instance searches
+    exactly that active path and its backup, so the instance is a nontrap
+    when the first feasible pair comes from it.  One ``time_limit`` bounds
+    the whole call; ``timeout`` means it passed before a verdict.
     """
-    from .srlg import SolverTimeout, cose_pulse_plus
-
-    empty = SubInstance(frozenset(), frozenset())
-    try:
-        first = ap_pulse_plus(net, q.src, q.dst, q.U, empty, [],
-                              time_limit=time_limit)
-    except SolverTimeout:
-        raise TimeoutError("trap classification timed out") from None
-    if first is not None and backup_search(net, first, q.U, q.delta,
-                                           time_limit) is not None:
-        return "nontrap"
     pair, stats = cose_pulse_plus(net, q, time_limit=time_limit,
                                   first_pair=True)
     if stats.status == "timeout":
-        raise TimeoutError("trap classification timed out")
-    return "trap" if pair is not None else "infeasible"
+        return "timeout"
+    if pair is None:
+        return "infeasible"
+    return "nontrap" if stats.subinstances == 1 else "trap"

@@ -1,7 +1,33 @@
+import time
+
 import numpy as np
 import pytest
 
 from drcr.graph import Link, Network, load_network
+
+
+@pytest.fixture
+def limit_passes_in(monkeypatch):
+    """``limit_passes_in(module, name)`` moves the clock an hour ahead each
+    time ``module.name`` is entered.
+
+    ``time.monotonic``, which ``Deadline`` reads, is replaced by a clock
+    that stands still otherwise, so a test places the moment a time limit
+    passes without sleeping.
+    """
+    now = [0.0]
+    monkeypatch.setattr(time, "monotonic", lambda: now[0])
+
+    def install(module, name):
+        real = getattr(module, name)
+
+        def late(*args, **kwargs):
+            now[0] += 3600.0
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, late)
+
+    return install
 
 
 def random_net(seed, n, p, max_srlgs=0, value_hi=10):

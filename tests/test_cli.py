@@ -72,6 +72,7 @@ class TestSolve:
         assert [r["cost"] for r in recs] == [2, 10, None]
         for r in recs:
             assert r["algo"] == algo and r["graph"] == "graph.txt"
+            assert r["timeout_phase"] is None
 
     def test_srlg_algo(self, tmp_path):
         graph = write(tmp_path / "g3b.txt", G3B_TEXT)
@@ -105,6 +106,8 @@ class TestSolve:
                      "--out", str(out)]) == 0
         rec = json.loads(out.read_text())
         assert rec["status"] == "timeout"
+        assert rec["timeout_phase"] in ("graph.dijkstra", "pulse.egress",
+                                        "pulse.search")
 
 
 class TestReport:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_net
-from drcr.costfn import compute_cost_functions, eval_cost_function, joint_prune
+from drcr.costfn import compute_cost_functions, eval_cost_function
 from drcr.graph import INF, load_network
 
 
@@ -44,14 +44,6 @@ def test_eval_examples():
     assert eval_cost_function(cf, 0, 3) == 9
     assert eval_cost_function(cf, 0, 0) == INF
     assert eval_cost_function(cf, 0, 99) == 2
-
-
-def test_joint_prune_boundaries():
-    from drcr.costfn import CostFunction
-    cf = CostFunction([[0, 2]], [[8, 3]])
-    assert joint_prune(5, 0, cf, 0, 4, 100)          # delay over budget
-    assert not joint_prune(2, 5, cf, 0, 4, 9)        # 5 + 3 < 9
-    assert joint_prune(2, 5, cf, 0, 4, 8)            # 5 + 3 >= 8
 
 
 class TestOracleEquivalence:

@@ -44,6 +44,11 @@ def multigraphs(draw, num_srlgs=0):
     return Network.build(n, links)
 
 
+# No limit, a limit that has passed on entry, and limits short enough to
+# pass in any layer of these small solves.
+limits = st.one_of(st.none(), st.just(0.0), st.floats(1e-6, 2e-4))
+
+
 def upper_bounds(net):
     """U values that often equal an s->t path delay exactly."""
     delays = sorted({p.delay for p in
@@ -60,20 +65,25 @@ def test_solve_drcr_matches_oracle(data):
     L = data.draw(st.one_of(st.just(0), st.integers(0, U)))
     q = DrcrQuery(0, net.num_nodes - 1, L, U)
     expect = brute_drcr(net, q)
+    limit = data.draw(limits)
     # These nets never reach the default plain budget; the small budgets
     # send joint pruning through the capped cost-function build.
-    runs = [(PulseOptions(), drcr.pulse.PLAIN_BUDGET)]
-    runs += [(PulseOptions(joint_pruning=True), b) for b in
+    runs = [(PulseOptions(time_limit=limit), drcr.pulse.PLAIN_BUDGET)]
+    runs += [(PulseOptions(joint_pruning=True, time_limit=limit), b) for b in
              (drcr.pulse.PLAIN_BUDGET, 0, 1, data.draw(st.integers(2, 40)))]
     for opts, budget in runs:
         with mock.patch.object(drcr.pulse, "PLAIN_BUDGET", budget):
             p, stats = solve_drcr(net, q, opts)
+        assert (stats.status == "timeout") == (stats.timeout_phase is not None)
+        if p is not None:
+            assert is_elementary(p) and L <= p.delay <= U
+            assert (p.nodes[0], p.nodes[-1]) == (q.src, q.dst)
+        if stats.status == "timeout":
+            continue
         if expect is None:
             assert p is None and stats.status == "infeasible"
-            continue
-        assert stats.status == "optimal" and p.cost == expect[0]
-        assert is_elementary(p) and L <= p.delay <= U
-        assert (p.nodes[0], p.nodes[-1]) == (q.src, q.dst)
+        else:
+            assert stats.status == "optimal" and p.cost == expect[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -106,12 +116,15 @@ def test_cose_matches_pair_oracle(data):
     q = SrlgDrcrQuery(0, net.num_nodes - 1, U,
                       data.draw(st.one_of(st.just(0), st.integers(0, 3))))
     expect = brute_srlg_drcr(net, q)
-    pair, stats = cose_pulse_plus(net, q)
-    if expect is None:
+    pair, stats = cose_pulse_plus(net, q, time_limit=data.draw(limits))
+    assert (stats.status == "timeout") == (stats.timeout_phase is not None)
+    if pair is not None:
+        assert pair.is_valid(net, q.U, q.delta)
+    if stats.status == "timeout":
+        pass
+    elif expect is None:
         assert pair is None and stats.status == "infeasible"
     else:
-        assert stats.status == "optimal"
-        assert pair.active.cost == expect[0]
-        assert pair.is_valid(net, q.U, q.delta)
+        assert stats.status == "optimal" and pair.active.cost == expect[0]
     for cs in stats.conflict_sets:
         assert verify_conflict_set(net, q, cs.srlgs)

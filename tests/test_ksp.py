@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import drcr.ksp
 import drcr.pulse
 from conftest import random_net
 from drcr.graph import load_network
@@ -198,13 +199,22 @@ class TestSrlgKsp:
         assert pair is not None and pair.active.cost == 2
         assert stats.iterations == 1
 
-    def test_single_path_infeasible(self):
+    def test_single_path_infeasible(self, limit_passes_in):
         net = load_network("0,s,a,1,1,0\n1,a,t,1,1,0\n")
         query = SrlgDrcrQuery(0, 2, 5, 5)
-        for fn in (lambda: srlg_ksp_drcr(net, query, "cost"),
-                   lambda: srlg_lagrangian_ksp(net, query)):
+        solvers = (lambda: srlg_ksp_drcr(net, query, "cost", 1.0),
+                   lambda: srlg_ksp_drcr(net, query, "delay", 1.0),
+                   lambda: srlg_lagrangian_ksp(net, query, 1.0))
+        for fn in solvers:
             pair, stats = fn()
             assert pair is None and stats.status == "infeasible"
+        # the limit passes inside the only active's backup search, so the
+        # search gave up and proved nothing
+        limit_passes_in(drcr.ksp, "backup_search")
+        for fn in solvers:
+            pair, stats = fn()
+            assert pair is None and stats.status == "timeout"
+            assert stats.timeout_phase == "graph.dijkstra"
 
     @pytest.mark.parametrize("seed", range(12))
     def test_agrees_with_pair_oracle(self, seed):

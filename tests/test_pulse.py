@@ -81,6 +81,14 @@ class TestPulse:
         query = DrcrQuery(0, 14, 60, 80)
         _, stats = pulse_plus(net, query, PulseOptions(time_limit=0.0))
         assert stats.status == "timeout"
+        assert stats.timeout_phase == "graph.dijkstra"
+
+    def test_limit_passing_in_tree_build_times_out(self, g1, limit_passes_in):
+        limit_passes_in(drcr.pulse, "build_reverse_tree")
+        p, stats = solve_drcr(g1, q(g1, "s", "t", 3, 5),
+                              PulseOptions(time_limit=1.0))
+        assert p is None and stats.status == "timeout"
+        assert stats.timeout_phase == "graph.dijkstra"
 
     def test_determinism(self, g1):
         runs = [pulse_plus(g1, q(g1, "s", "t", 3, 5)) for _ in range(2)]
@@ -108,9 +116,9 @@ class TestPulse:
         caps = []
         real = drcr.pulse.compute_cost_functions
 
-        def counted(*args, cap):
+        def counted(*args, cap, **kwargs):
             caps.append(cap)
-            return real(*args, cap=cap)
+            return real(*args, cap=cap, **kwargs)
 
         monkeypatch.setattr(drcr.pulse, "compute_cost_functions", counted)
         net = gen_er_network(GenConfig(n=300, p_mult=3, seed=31))

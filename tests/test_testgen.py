@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import drcr.srlg
 from drcr.graph import dump_network
 from drcr.pulse import classify_case
 from drcr.testgen import (
@@ -117,3 +118,13 @@ class TestClassifyTrap:
     def test_square_infeasible(self, g3a):
         q = SrlgDrcrQuery(0, g3a.node_id("t"), 10, 10)
         assert classify_trap(g3a, q) == "infeasible"
+
+    @pytest.mark.parametrize("fixture,dst,U,delta", [
+        ("g3b", "F", 10, 4), ("diamond", "t", 5, 5), ("g3a", "t", 10, 10)])
+    def test_backup_timeout_gives_no_verdict(self, request, limit_passes_in,
+                                             fixture, dst, U, delta):
+        # a backup search that gives up must not read as "no backup"
+        net = request.getfixturevalue(fixture)
+        limit_passes_in(drcr.srlg, "backup_search")
+        q = SrlgDrcrQuery(0, net.node_id(dst), U, delta)
+        assert classify_trap(net, q, time_limit=1.0) == "timeout"
