@@ -99,7 +99,7 @@ def _solve_one(net, q, algo: str, opts: PulseOptions,
             rec["cf_build_us"] = stats.cf_build_us
     elif algo == "cose-pulse+":
         pair, stats = cose_pulse_plus(net, q, time_limit=limit)
-        rec.update(conflict_sets_found=stats.conflict_sets_found,
+        rec.update(conflict_sets_found=len(stats.conflict_sets),
                    subinstances=stats.subinstances)
     else:
         if algo in SRLG_ALGOS:

@@ -36,8 +36,8 @@ class Deadline:
     """One time limit for a whole solve, started at construction.
 
     Each long-running layer calls :meth:`expired` on its first step, then
-    every 64 settled nodes, egress rows or kept labels (a check costs about
-    as much as settling a node) or 1024 search pops; once it is true the
+    every 64 settled nodes or kept labels (a check costs about as much as
+    settling a node) or 1024 search pops; once it is true the
     layer stops and returns what it has, which proves nothing, so a layer
     entered after that returns at once.  ``phase`` names the layer that
     first found the limit passed; callers read it before they use a result.
@@ -147,11 +147,26 @@ class Network:
         return self._weights[metric]
 
     @cached_property
+    def egress(self) -> list[list[tuple[int, int, int, int]]]:
+        """Per-node rows ``(dst, delay, cost, link_id)`` of the links leaving
+        it, in ``out_adj`` order, which is link-id order."""
+        links = self.links
+        return [[(links[lid].dst, links[lid].delay, links[lid].cost, lid)
+                 for lid in lids] for lids in self.out_adj]
+
+    @cached_property
     def ingress(self) -> list[list[tuple[int, int, int]]]:
         """Per-node rows ``(src, delay, cost)`` of the links entering it."""
         links = self.links
         return [[(links[lid].src, links[lid].delay, links[lid].cost)
                  for lid in lids] for lids in self.in_adj]
+
+
+def check_endpoints(net: Network, src: int, dst: int) -> None:
+    """Raise ``ValueError`` unless both query endpoints are nodes of ``net``."""
+    if not (0 <= src < net.num_nodes and 0 <= dst < net.num_nodes):
+        raise ValueError(f"query endpoint out of range: {src} -> {dst} "
+                         f"on {net.num_nodes} nodes")
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graph import INF, Deadline, Network, Path, dijkstra, finish
-from .pulse import DrcrCase, DrcrQuery, classify_case
+from .graph import INF, Deadline, Network, Path, check_endpoints, dijkstra, \
+    finish
+from .pulse import DrcrCase, DrcrQuery, classify_case, dst_trees
 from .srlg import PathPair, SrlgDrcrQuery, backup_search
 
 
@@ -73,7 +74,8 @@ def yen_ksp(net: Network, s: int, t: int, w: WeightFn,
     weights = w.link_weights(net)
     if weights and min(weights) < -1e-12:
         raise ValueError("negative link weight")
-    current = dijkstra(net, s, weights, target=t).path_from(net, t)
+    current = dijkstra(net, s, weights, target=t,
+                       deadline=deadline).path_from(net, t)
     emitted: list[tuple[int, ...]] = []
     candidates: list[tuple[float, tuple[int, ...]]] = []
     seen: set[tuple[int, ...]] = set() if current is None else {current.links}
@@ -106,6 +108,7 @@ def cost_ksp_drcr(net: Network, q: DrcrQuery,
                   time_limit: Optional[float] = None,
                   ) -> tuple[Optional[Path], KspStats]:
     """First delay-range-feasible path in cost order is optimal."""
+    check_endpoints(net, q.src, q.dst)
     stats = KspStats()
     deadline = Deadline(time_limit)
     for path in yen_ksp(net, q.src, q.dst, WeightFn.cost(), deadline):
@@ -119,6 +122,7 @@ def delay_ksp_drcr(net: Network, q: DrcrQuery,
                    time_limit: Optional[float] = None,
                    ) -> tuple[Optional[Path], KspStats]:
     """Enumerate in delay order up to U, keep the cheapest in-range path."""
+    check_endpoints(net, q.src, q.dst)
     stats = KspStats()
     deadline = Deadline(time_limit)
     best: Optional[Path] = None
@@ -155,10 +159,12 @@ _BISECT_TOL = 1e-6
 
 
 def _min_weight_delay(net: Network, s: int, t: int, lam: float,
+                      deadline: Optional[Deadline] = None,
                       ) -> tuple[float, int]:
     """Weight and delay of a min-(c + lam*d)-weight s->t path."""
     weights = WeightFn.lagrangian(lam).link_weights(net)
-    path = dijkstra(net, s, weights, target=t).path_from(net, t)
+    path = dijkstra(net, s, weights, target=t,
+                    deadline=deadline).path_from(net, t)
     if path is None:
         return INF, 0
     return path.cost + lam * path.delay, path.delay
@@ -170,24 +176,27 @@ def _dual_value(w: float, lam: float, L: int, U: int) -> float:
 
 def _bisect_lambda(net: Network, s: int, t: int, L: int, U: int,
                    lo: float, hi: float, threshold: int,
+                   deadline: Optional[Deadline] = None,
                    ) -> tuple[float, float]:
     """Maximize the dual over [lo, hi] given d(lo-opt) > threshold >= d(hi-opt).
 
     The dual is concave with subgradient d(min-weight path) - threshold, so
-    bisection on the subgradient sign brackets the maximizer.
+    bisection on the subgradient sign brackets the maximizer.  It stops
+    early once ``deadline`` has expired.
     """
     best_g = -INF
     best_lam = lo
     for lam in (lo, hi):
-        w, _d = _min_weight_delay(net, s, t, lam)
+        w, _d = _min_weight_delay(net, s, t, lam, deadline)
         g = _dual_value(w, lam, L, U)
         if g > best_g:
             best_g, best_lam = g, lam
     for _ in range(_BISECT_STEPS):
-        if hi - lo < _BISECT_TOL * (1.0 + abs(lo) + abs(hi)):
+        if hi - lo < _BISECT_TOL * (1.0 + abs(lo) + abs(hi)) or (
+                deadline is not None and deadline.phase is not None):
             break
         mid = (lo + hi) / 2.0
-        w, d = _min_weight_delay(net, s, t, mid)
+        w, d = _min_weight_delay(net, s, t, mid, deadline)
         g = _dual_value(w, mid, L, U)
         if g > best_g:
             best_g, best_lam = g, mid
@@ -199,7 +208,8 @@ def _bisect_lambda(net: Network, s: int, t: int, L: int, U: int,
 
 
 def choose_lambda(net: Network, q: DrcrQuery,
-                  case: Optional[DrcrCase] = None) -> LambdaResult:
+                  case: Optional[DrcrCase] = None,
+                  deadline: Optional[Deadline] = None) -> LambdaResult:
     """Pick the multiplier maximizing the concave dual bound.
 
     When the ceiling binds, lambda lives in [0, total_cost + 1]: at the top
@@ -207,13 +217,15 @@ def choose_lambda(net: Network, q: DrcrQuery,
     min-delay path is min-weight.  When the floor binds, lambda is negative
     but bounded below by -mu (mu the minimum cost/delay ratio) to keep every
     link weight non-negative.  A caller that has classified the query
-    passes its ``case`` to skip a second classification.
+    passes its ``case`` to skip a second classification.  Once ``deadline``
+    expires the Dijkstras stop early and the result proves nothing.
     """
     if case is None:
         case, _ = classify_case(net, q)
     if case in (DrcrCase.DEGENERATED, DrcrCase.NON_TRIVIAL_4):
         big = sum(link.cost for link in net.links) + 1.0
-        lam, g = _bisect_lambda(net, q.src, q.dst, q.L, q.U, 0.0, big, q.U)
+        lam, g = _bisect_lambda(net, q.src, q.dst, q.L, q.U, 0.0, big, q.U,
+                                deadline)
         return LambdaResult(lam, g, "upper", 0.0)
     if case is not DrcrCase.NON_TRIVIAL_6:
         raise ValueError(f"no binding delay bound to relax ({case.name})")
@@ -221,9 +233,10 @@ def choose_lambda(net: Network, q: DrcrQuery,
     if not ratios:
         raise ValueError("all links have zero delay")
     mu = min(ratios)
-    w, d = _min_weight_delay(net, q.src, q.dst, -mu)
+    w, d = _min_weight_delay(net, q.src, q.dst, -mu, deadline)
     if d > q.L:
-        lam, g = _bisect_lambda(net, q.src, q.dst, q.L, q.U, -mu, 0.0, q.L)
+        lam, g = _bisect_lambda(net, q.src, q.dst, q.L, q.U, -mu, 0.0, q.L,
+                                deadline)
         return LambdaResult(lam, g, "lower-interior", mu)
     if mu == 0.0:
         return LambdaResult(0.0, _dual_value(w, 0.0, q.L, q.U),
@@ -247,13 +260,16 @@ def lagrangian_ksp_drcr(net: Network, q: DrcrQuery,
     """
     stats = KspStats()
     deadline = Deadline(time_limit)
-    case, ready = classify_case(net, q)
+    trees = dst_trees(net, q, deadline)  # checks the endpoints
+    if deadline.phase is not None:
+        return None, finish(stats, deadline, "timeout")
+    case, ready = classify_case(net, q, *trees)
     if case is DrcrCase.INFEASIBLE:
         return None, finish(stats, deadline, "infeasible")
     if ready is not None:
         stats.lambda_value = 0.0
         return ready, finish(stats, deadline, "optimal")
-    sel = choose_lambda(net, q, case)
+    sel = choose_lambda(net, q, case, deadline)
     lam = sel.lambda_star
     stats.lambda_value = lam
     w = WeightFn.lagrangian(lam)
@@ -274,6 +290,7 @@ def srlg_ksp_drcr(net: Network, q: SrlgDrcrQuery, order: str = "cost",
     """Try actives in cost (or delay) order until one admits a backup."""
     if order not in ("cost", "delay"):
         raise ValueError(f"unknown enumeration order {order!r}")
+    check_endpoints(net, q.src, q.dst)
     stats = KspStats()
     deadline = Deadline(time_limit)
     w = WeightFn.cost() if order == "cost" else WeightFn.delay()
@@ -299,16 +316,18 @@ def srlg_lagrangian_ksp(net: Network, q: SrlgDrcrQuery,
     runs only once the heap minimum is provably the cheapest active still
     outstanding (its cost plus lambda*U is at most the next dual weight).
     """
+    check_endpoints(net, q.src, q.dst)
     stats = KspStats()
     deadline = Deadline(time_limit)
     big = sum(link.cost for link in net.links) + 1.0
-    w0, d0 = _min_weight_delay(net, q.src, q.dst, 0.0)
+    w0, d0 = _min_weight_delay(net, q.src, q.dst, 0.0, deadline)
     if w0 == INF:
         return None, finish(stats, deadline, "infeasible")
     if d0 <= q.U:
         lam = 0.0
     else:
-        lam, _g = _bisect_lambda(net, q.src, q.dst, 0, q.U, 0.0, big, q.U)
+        lam, _g = _bisect_lambda(net, q.src, q.dst, 0, q.U, 0.0, big, q.U,
+                                 deadline)
     stats.lambda_value = lam
     w = WeightFn.lagrangian(lam)
     gen = yen_ksp(net, q.src, q.dst, w, deadline)

@@ -27,6 +27,7 @@ from .graph import (
     Path,
     ShortestTree,
     build_reverse_tree,
+    check_endpoints,
     finish,
 )
 from .costfn import CostFunction, compute_cost_functions
@@ -90,15 +91,14 @@ class SearchStats:
     timeout_phase: Optional[str] = None  # the layer that found the limit passed
 
 
-def _dst_trees(net: Network, q: DrcrQuery,
-               delay_tree: Optional[ShortestTree],
-               cost_tree: Optional[ShortestTree],
-               deadline: Optional[Deadline] = None,
-               ) -> tuple[ShortestTree, ShortestTree]:
+def dst_trees(net: Network, q: DrcrQuery,
+              deadline: Optional[Deadline] = None,
+              delay_tree: Optional[ShortestTree] = None,
+              cost_tree: Optional[ShortestTree] = None,
+              ) -> tuple[ShortestTree, ShortestTree]:
     """Check ``q``'s endpoints; the delay and cost trees rooted at its
     destination, built where not given."""
-    if not (0 <= q.src < net.num_nodes and 0 <= q.dst < net.num_nodes):
-        raise ValueError("query endpoint out of range")
+    check_endpoints(net, q.src, q.dst)
     if delay_tree is None:
         delay_tree = build_reverse_tree(net, q.dst, "delay", deadline=deadline)
     if cost_tree is None:
@@ -115,7 +115,7 @@ def classify_case(net: Network, q: DrcrQuery,
     Returns the min-cost path as the ready-made optimum for the two trivial
     cases where it already satisfies the delay range.
     """
-    delay_tree, cost_tree = _dst_trees(net, q, delay_tree, cost_tree)
+    delay_tree, cost_tree = dst_trees(net, q, None, delay_tree, cost_tree)
     d_min_delay = delay_tree.dist[q.src]
     if d_min_delay == INF or q.U < d_min_delay:
         return DrcrCase.INFEASIBLE, None
@@ -134,50 +134,19 @@ def classify_case(net: Network, q: DrcrQuery,
     return DrcrCase.NON_TRIVIAL_4, None
 
 
-def ldf_order(net: Network, tree: ShortestTree,
-              disabled: Optional[set[int]] = None,
-              deadline: Optional[Deadline] = None,
-              ) -> list[list[tuple[int, int, int, int]]]:
-    """Per-node egress lists ``(dst, delay, cost, link_id)`` for LDF search.
-
-    Lists ascend in ``w(e) = d(e) + d_min_delay(To(e) -> t)`` (ties by link
-    id, unreachable heads last); pushing in this order onto a LIFO stack
-    makes the largest-delay branch pop first.
-    """
-    dist = tree.dist
-    order: list[list[tuple[int, int, int, int]]] = []
-    for u in range(net.num_nodes):
-        if u & 63 == 0 and deadline is not None \
-                and deadline.expired("pulse.egress"):
-            break
-        entries = []
-        for lid in net.out_adj[u]:
-            if disabled is not None and lid in disabled:
-                continue
-            link = net.links[lid]
-            entries.append((link.delay + dist[link.dst], lid, link))
-        entries.sort(key=lambda item: (item[0], item[1]))
-        order.append([(link.dst, link.delay, link.cost, lid)
-                      for _, lid, link in entries])
-    return order
-
-
-def natural_order(net: Network) -> list[list[tuple[int, int, int, int]]]:
-    """Egress lists in link-id order (the non-LDF baseline)."""
-    order: list[list[tuple[int, int, int, int]]] = []
-    for u in range(net.num_nodes):
-        entries = []
-        for lid in net.out_adj[u]:
-            link = net.links[lid]
-            entries.append((link.dst, link.delay, link.cost, lid))
-        order.append(entries)
-    return order
+def ldf_sorted(rows: list[tuple[int, int, int, int]],
+               delay_dist: list[float]) -> list[tuple[int, int, int, int]]:
+    """``rows`` of ``Network.egress`` (link-id order) sorted stably on
+    ``w(e) = d(e) + d_min_delay(To(e) -> t)``: ties stay in link-id order
+    and unreachable heads go last; pushed in this order onto a LIFO stack,
+    the largest-delay branch pops first."""
+    return sorted(rows, key=lambda row: row[1] + delay_dist[row[0]])
 
 
 def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
                      delay_dist: list[float], cost_dist: list[float],
-                     egress: list[list[tuple[int, int, int, int]]],
                      *,
+                     ldf: bool = True,
                      tmp_min: float = INF,
                      first_feasible: bool = False,
                      cf: Optional[CostFunction] = None,
@@ -202,6 +171,9 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
     below the shallowest newly disabled link of the rejected path are then
     dropped.  A search that pops ``max_iterations`` entries without
     finishing stops with status ``"budget"`` and returns its incumbent.
+    A node's out-links are read from ``net.egress`` when the search first
+    expands it; with ``ldf`` they are then sorted by :func:`ldf_sorted` and
+    kept for the rest of the call.
     """
     best: Optional[list[int]] = None
     searched = 0.0
@@ -216,6 +188,8 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
     top = -1  # depth of the deepest on-path node
     # entry: (node, delay, cost, depth, link_id, s3)
     stack = [(s, 0, 0, 0, -1, 1.0)]
+    egress = net.egress
+    rows = [None] * n if ldf else egress  # ldf: sorted on first expansion
     pop = stack.pop
     push = stack.append
     if cf is not None:
@@ -279,7 +253,10 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
         on_path[node] = True
         path_nodes[depth] = node
         top = depth
-        kids = [e for e in egress[node] if not on_path[e[0]]]
+        kids = rows[node]
+        if kids is None:
+            kids = rows[node] = ldf_sorted(egress[node], delay_dist)
+        kids = [e for e in kids if not on_path[e[0]]]
         if disabled:
             kids = [e for e in kids if e[3] not in disabled]
         k = len(kids)
@@ -297,17 +274,12 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
 
 def _search(net: Network, q: DrcrQuery, opts: PulseOptions, deadline: Deadline,
             delay_tree: ShortestTree, cost_tree: ShortestTree,
-            egress_order: Optional[list[list[tuple[int, int, int, int]]]],
             ) -> tuple[Optional[Path], SearchStats]:
     """The search phases of :func:`pulse_plus` on built trees."""
-    if egress_order is None:
-        egress_order = (ldf_order(net, delay_tree, deadline=deadline)
-                        if opts.ldf else natural_order(net))
-
     def search(**kwargs) -> tuple[Optional[Path], SearchStats]:
         return run_pulse_search(
             net, q.src, q.dst, q.L, q.U, delay_tree.dist, cost_tree.dist,
-            egress_order, deadline=deadline, **kwargs)
+            ldf=opts.ldf, deadline=deadline, **kwargs)
 
     path, stats = search(max_iterations=PLAIN_BUDGET if opts.joint_pruning
                          else sys.maxsize)
@@ -338,15 +310,15 @@ def pulse_plus(net: Network, q: DrcrQuery,
                *,
                delay_tree: Optional[ShortestTree] = None,
                cost_tree: Optional[ShortestTree] = None,
-               egress_order: Optional[list[list[tuple[int, int, int, int]]]] = None,
                ) -> tuple[Optional[Path], SearchStats]:
     """Solve a DRCR query to optimality (or prove infeasibility).
 
-    Precomputed destination-rooted trees and egress orderings may be passed
-    in so that batch runs against one destination amortise the Dijkstra and
-    sort work.  With ``opts.joint_pruning`` the plain-cut search runs first
-    under ``PLAIN_BUDGET`` iterations; only a query it cannot finish pays for
-    the cost-function build, capped at the incumbent ``UB`` it found, and a
+    Callers may pass precomputed destination-rooted delay and cost trees
+    (trees only: the search sorts egress rows itself) so that batch runs
+    against one destination amortise the Dijkstras.  With
+    ``opts.joint_pruning`` the plain-cut search runs first under
+    ``PLAIN_BUDGET`` iterations; only a query it cannot finish pays for the
+    cost-function build, capped at the incumbent ``UB`` it found, and a
     joint-cut search that looks for a path cheaper than ``UB``.  The stats
     count the iterations of both phases, and ``best_cost_trace`` stamps run
     on from the first phase into the second.  Once ``opts.time_limit``
@@ -354,24 +326,21 @@ def pulse_plus(net: Network, q: DrcrQuery,
     """
     opts = opts or PulseOptions()
     deadline = Deadline(opts.time_limit)
-    trees = _dst_trees(net, q, delay_tree, cost_tree, deadline)
-    path, stats = _search(net, q, opts, deadline, *trees, egress_order)
+    trees = dst_trees(net, q, deadline, delay_tree, cost_tree)
+    path, stats = _search(net, q, opts, deadline, *trees)
     return path, finish(stats, deadline, stats.status)
 
 
 def solve_drcr(net: Network, q: DrcrQuery,
                opts: Optional[PulseOptions] = None,
-               *,
-               delay_tree: Optional[ShortestTree] = None,
-               cost_tree: Optional[ShortestTree] = None,
-               egress_order=None) -> tuple[Optional[Path], SearchStats]:
+               ) -> tuple[Optional[Path], SearchStats]:
     """Case-classify then dispatch: trivial cases bypass the search.
 
     ``elapsed_us`` and ``opts.time_limit`` cover the whole call.
     """
     opts = opts or PulseOptions()
     deadline = Deadline(opts.time_limit)
-    delay_tree, cost_tree = _dst_trees(net, q, delay_tree, cost_tree, deadline)
+    delay_tree, cost_tree = dst_trees(net, q, deadline)
     path, stats = None, SearchStats()
     if deadline.phase is None:
         case, ready = classify_case(net, q, delay_tree, cost_tree)
@@ -381,5 +350,5 @@ def solve_drcr(net: Network, q: DrcrQuery,
                 best_cost_trace=[(0, ready.cost)])
         elif case is not DrcrCase.INFEASIBLE:
             path, stats = _search(net, q, opts, deadline, delay_tree,
-                                  cost_tree, egress_order)
+                                  cost_tree)
     return path, finish(stats, deadline, stats.status)

@@ -19,11 +19,12 @@ from .graph import (
     Network,
     Path,
     build_reverse_tree,
+    check_endpoints,
     finish,
     is_elementary,
     srlgs_of_path,
 )
-from .pulse import ldf_order, run_pulse_search
+from .pulse import run_pulse_search
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,6 @@ class PathPair:
 class CoseStats:
     status: str = "infeasible"
     subinstances: int = 0
-    conflict_sets_found: int = 0
     iterations: int = 0
     elapsed_us: int = 0
     conflict_sets: list["ConflictSet"] = field(default_factory=list)
@@ -111,12 +111,9 @@ def backup_search(net: Network, active: Path, U: int, delta: int,
     hi = min(U, active.delay + delta)
     delay_tree = build_reverse_tree(net, t, "delay", disabled=disabled,
                                     deadline=deadline)
-    if delay_tree.dist[s] > hi:
-        return None
-    egress = ldf_order(net, delay_tree, disabled=disabled, deadline=deadline)
     path, _stats = run_pulse_search(
-        net, s, t, lo, hi, delay_tree.dist, [0] * net.num_nodes, egress,
-        first_feasible=True, deadline=deadline)
+        net, s, t, lo, hi, delay_tree.dist, [0] * net.num_nodes,
+        first_feasible=True, deadline=deadline, disabled=disabled)
     return path
 
 
@@ -140,7 +137,6 @@ def find_conflict_set(net: Network, active: Path, U: int,
     s, t = active.nodes[0], active.nodes[-1]
     delay_tree = build_reverse_tree(net, t, "delay", deadline=deadline)
     links = net.links
-    egress = ldf_order(net, delay_tree, deadline=deadline)
     disabled: set[int] = set()
     found: list[int] = []
 
@@ -155,7 +151,7 @@ def find_conflict_set(net: Network, active: Path, U: int,
         return False
 
     companion, search = run_pulse_search(
-        net, s, t, 0, U, delay_tree.dist, [0] * net.num_nodes, egress,
+        net, s, t, 0, U, delay_tree.dist, [0] * net.num_nodes,
         first_feasible=True, deadline=deadline, accept=disjoint,
         disabled=disabled)
     if stats is not None:
@@ -198,7 +194,6 @@ def ap_pulse_plus(net: Network, src: int, dst: int, U: int,
         return None
     cost_tree = build_reverse_tree(net, dst, "cost", disabled=disabled,
                                    deadline=deadline)
-    egress = ldf_order(net, delay_tree, disabled=disabled, deadline=deadline)
     if deadline.phase is not None:
         return None
 
@@ -227,9 +222,10 @@ def ap_pulse_plus(net: Network, src: int, dst: int, U: int,
             and not any(omega & m == m for m in conflict_masks)
 
     path, search = run_pulse_search(
-        net, src, dst, 0, U, delay_tree.dist, cost_tree.dist, egress,
+        net, src, dst, 0, U, delay_tree.dist, cost_tree.dist,
         tmp_min=tmp_min, deadline=deadline, accept=allowed,
-        link_masks=link_masks, conflict_masks=conflict_masks)
+        link_masks=link_masks, conflict_masks=conflict_masks,
+        disabled=disabled)
     if stats is not None:
         stats.iterations += search.iterations
     return path
@@ -247,11 +243,11 @@ def cose_pulse_plus(net: Network, q: SrlgDrcrQuery,
     proven minimum.  Once ``time_limit`` (seconds) passes, the status is
     ``timeout`` and the pair the best found, if any.
     """
+    check_endpoints(net, q.src, q.dst)
     stats = CoseStats()
     deadline = Deadline(time_limit)
     queue: deque[SubInstance] = deque([SubInstance(frozenset(), frozenset())])
     seen = {(frozenset(), frozenset())}
-    conflicts: list[ConflictSet] = []
     tmp_min: float = INF
     best: Optional[PathPair] = None
     # A layer that times out sets deadline.phase; later layers return at
@@ -259,8 +255,8 @@ def cose_pulse_plus(net: Network, q: SrlgDrcrQuery,
     while queue and not deadline.expired("srlg.queue"):
         inst = queue.popleft()
         stats.subinstances += 1
-        active = ap_pulse_plus(net, q.src, q.dst, q.U, inst, conflicts,
-                               tmp_min, deadline, stats)
+        active = ap_pulse_plus(net, q.src, q.dst, q.U, inst,
+                               stats.conflict_sets, tmp_min, deadline, stats)
         if active is None or deadline.phase is not None:
             continue
         backup = backup_search(net, active, q.U, q.delta, deadline)
@@ -274,8 +270,6 @@ def cose_pulse_plus(net: Network, q: SrlgDrcrQuery,
         if deadline.phase is not None:
             continue
         if cs is not None:
-            conflicts.append(cs)
-            stats.conflict_sets_found += 1
             stats.conflict_sets.append(cs)
             branch = sorted(r for r in cs.srlgs if r not in inst.include)
         else:

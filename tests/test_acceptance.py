@@ -20,8 +20,7 @@ from drcr.graph import INF, build_forward_tree, build_reverse_tree, is_elementar
 from drcr.ksp import cost_ksp_drcr, delay_ksp_drcr, lagrangian_ksp_drcr
 from drcr.oracle import brute_cost_function, brute_drcr, brute_srlg_drcr, \
     verify_conflict_set
-from drcr.pulse import DrcrQuery, PulseOptions, ldf_order, natural_order, \
-    pulse_plus, solve_drcr
+from drcr.pulse import DrcrQuery, PulseOptions, pulse_plus, solve_drcr
 from drcr.srlg import SrlgDrcrQuery, cose_pulse_plus
 from drcr.testgen import GenConfig, classify_trap, gen_drcr_query, \
     gen_er_network, gen_srlg_query
@@ -93,15 +92,13 @@ def big_corpus():
         dst = int(rng.integers(0, net.num_nodes))
         dtree = build_reverse_tree(net, dst, "delay")
         ctree = build_reverse_tree(net, dst, "cost")
-        ldf = ldf_order(net, dtree)
-        nat = natural_order(net)
         queries = []
         for i in range(20):
             q = gen_drcr_query(net, 90_000 + 100 * g + i,
                                4 if i % 2 == 0 else 6,
                                dst=dst, delay_tree=dtree, cost_tree=ctree)
             queries.append(q)
-        groups.append((dtree, ctree, ldf, nat, queries))
+        groups.append((dtree, ctree, queries))
     return net, groups
 
 
@@ -111,17 +108,14 @@ def big_runs(big_corpus):
     rows = []
     # No time limit: the iteration counts criteria 6 and 7 compare must not
     # depend on how fast the host is.
-    for dtree, ctree, ldf, nat, queries in groups:
+    for dtree, ctree, queries in groups:
         for q in queries:
             p0, s0 = pulse_plus(net, q, PulseOptions(ldf=False),
-                                delay_tree=dtree, cost_tree=ctree,
-                                egress_order=nat)
+                                delay_tree=dtree, cost_tree=ctree)
             p1, s1 = pulse_plus(net, q, PulseOptions(),
-                                delay_tree=dtree, cost_tree=ctree,
-                                egress_order=ldf)
+                                delay_tree=dtree, cost_tree=ctree)
             p2, s2 = pulse_plus(net, q, PulseOptions(joint_pruning=True),
-                                delay_tree=dtree, cost_tree=ctree,
-                                egress_order=ldf)
+                                delay_tree=dtree, cost_tree=ctree)
             for p in (p0, p1, p2):
                 if p is not None:
                     COLLECTED_PATHS.append((net, p, q.L, q.U))

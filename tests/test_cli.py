@@ -106,8 +106,7 @@ class TestSolve:
                      "--out", str(out)]) == 0
         rec = json.loads(out.read_text())
         assert rec["status"] == "timeout"
-        assert rec["timeout_phase"] in ("graph.dijkstra", "pulse.egress",
-                                        "pulse.search")
+        assert rec["timeout_phase"] in ("graph.dijkstra", "pulse.search")
 
 
 class TestReport:

@@ -14,6 +14,10 @@ from drcr.graph import (
     load_network,
     srlgs_of_path,
 )
+from drcr.ksp import cost_ksp_drcr, delay_ksp_drcr, lagrangian_ksp_drcr, \
+    srlg_ksp_drcr, srlg_lagrangian_ksp
+from drcr.pulse import DrcrQuery, pulse_plus, solve_drcr
+from drcr.srlg import SrlgDrcrQuery, cose_pulse_plus
 
 
 def test_g1_shape(g1):
@@ -123,3 +127,24 @@ def test_build_dump_load_identity(raw):
         return [(n.node_names[l.src], n.node_names[l.dst], l.delay, l.cost,
                  l.srlgs) for l in n.links]
     assert named(again) == named(net)
+
+
+def drcr_query(src, dst):
+    return DrcrQuery(src, dst, 0, 10)
+
+
+def srlg_query(src, dst):
+    return SrlgDrcrQuery(src, dst, 10, 10)
+
+
+@pytest.mark.parametrize("solve, make", [
+    (solve_drcr, drcr_query), (pulse_plus, drcr_query),
+    (cost_ksp_drcr, drcr_query), (delay_ksp_drcr, drcr_query),
+    (lagrangian_ksp_drcr, drcr_query), (cose_pulse_plus, srlg_query),
+    (srlg_ksp_drcr, srlg_query), (srlg_lagrangian_ksp, srlg_query),
+], ids=lambda v: getattr(v, "__name__", ""))
+@pytest.mark.parametrize("src, dst", [(-1, 2), (3, 2), (0, -1), (0, 3)])
+def test_entry_points_reject_out_of_range_endpoints(solve, make, src, dst):
+    net = load_network("0,a,b,1,1,0\n1,b,c,1,1,1\n2,a,c,5,5,2\n")
+    with pytest.raises(ValueError, match="out of range"):
+        solve(net, make(src, dst))

@@ -4,7 +4,7 @@ import pytest
 import drcr.ksp
 import drcr.pulse
 from conftest import random_net
-from drcr.graph import load_network
+from drcr.graph import Deadline, load_network
 from drcr.ksp import (
     WeightFn,
     choose_lambda,
@@ -159,6 +159,35 @@ class TestLagrangianKsp:
         p, _ = lagrangian_ksp_drcr(g1, q(g1, "s", "t", 3, 5))
         assert p.cost == 10
         assert sorted(calls) == ["cost", "delay"]
+
+    def test_zero_limit_times_out_in_first_dijkstra(self, g1, g3b):
+        _, stats = lagrangian_ksp_drcr(g1, q(g1, "s", "t", 3, 5), 0.0)
+        assert stats.status == "timeout"
+        assert stats.timeout_phase == "graph.dijkstra"
+        query = SrlgDrcrQuery(g3b.node_id("A"), g3b.node_id("F"), 10, 4)
+        pair, stats = srlg_lagrangian_ksp(g3b, query, 0.0)
+        assert pair is None and stats.status == "timeout"
+        assert stats.timeout_phase == "graph.dijkstra"
+
+    def test_bisection_stops_once_limit_passes(self, monkeypatch):
+        calls = []
+        real = drcr.ksp.dijkstra
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(drcr.ksp, "dijkstra", counted)
+        # degenerated: the ceiling binds and lambda is bisected on [0, big]
+        net = load_network("0,s,t,9,1,\n1,s,a,1,5,\n2,a,t,1,5,\n")
+        query = DrcrQuery(0, 1, 0, 4)
+        choose_lambda(net, query)
+        assert len(calls) > 2
+        calls.clear()
+        deadline = Deadline(0.0)
+        choose_lambda(net, query, deadline=deadline)
+        assert deadline.phase == "graph.dijkstra"
+        assert len(calls) == 2  # the bracket ends only
 
     @pytest.mark.parametrize("seed", range(20))
     def test_three_ksp_solvers_agree_with_oracle(self, seed):

@@ -13,7 +13,7 @@ from drcr.pulse import (
     DrcrQuery,
     PulseOptions,
     classify_case,
-    ldf_order,
+    ldf_sorted,
     pulse_plus,
     solve_drcr,
 )
@@ -192,6 +192,14 @@ def test_search_order_pinned(monkeypatch):
         assert got == expect, i
 
 
+def ldf_links(net, src, dst):
+    """Link ids of ``src``'s egress rows in the order the LDF search sorts
+    them when it expands ``src`` on a search towards ``dst``."""
+    tree = build_reverse_tree(net, net.node_id(dst), "delay")
+    rows = ldf_sorted(net.egress[net.node_id(src)], tree.dist)
+    return [lid for _, _, _, lid in rows]
+
+
 class TestLdfOrder:
     def test_sorted_by_remaining_delay(self):
         # three egress links from s with w(e) = 7, 3, 9
@@ -199,21 +207,15 @@ class TestLdfOrder:
             "0,s,a,1,6,\n1,a,t,1,1,\n"
             "2,s,b,1,2,\n3,b,t,1,1,\n"
             "4,s,c,1,8,\n5,c,t,1,1,\n")
-        tree = build_reverse_tree(net, net.node_id("t"), "delay")
-        order = ldf_order(net, tree)
-        assert [lid for _, _, _, lid in order[net.node_id("s")]] == [2, 0, 4]
+        assert ldf_links(net, "s", "t") == [2, 0, 4]
 
     def test_tie_breaks_by_link_id(self):
         net = load_network("0,s,a,1,1,\n1,s,b,1,1,\n2,a,t,1,1,\n3,b,t,1,1,\n")
-        tree = build_reverse_tree(net, net.node_id("t"), "delay")
-        order = ldf_order(net, tree)
-        assert [lid for _, _, _, lid in order[net.node_id("s")]] == [0, 1]
+        assert ldf_links(net, "s", "t") == [0, 1]
 
     def test_unreachable_head_placed_last(self):
         net = load_network("0,s,x,1,1,\n1,s,a,1,1,\n2,a,t,1,1,\n")
-        tree = build_reverse_tree(net, net.node_id("t"), "delay")
-        order = ldf_order(net, tree)
-        assert [lid for _, _, _, lid in order[net.node_id("s")]] == [1, 0]
+        assert ldf_links(net, "s", "t") == [1, 0]
 
 
 class TestAgainstOracle:

@@ -123,7 +123,7 @@ class TestCose:
         q = SrlgDrcrQuery(0, g3a.node_id("t"), 10, 10)
         pair, stats = cose_pulse_plus(g3a, q)
         assert pair is None and stats.status == "infeasible"
-        assert stats.conflict_sets_found >= 1
+        assert len(stats.conflict_sets) >= 1
 
     def test_trap_escaped_optimally(self, g3b):
         q = SrlgDrcrQuery(g3b.node_id("A"), g3b.node_id("F"), 10, 4)
@@ -131,7 +131,7 @@ class TestCose:
         assert stats.status == "optimal"
         assert pair.active.cost == 11
         assert pair.is_valid(g3b, q.U, q.delta)
-        assert stats.conflict_sets_found >= 1
+        assert len(stats.conflict_sets) >= 1
 
     def test_no_srlg_diamond(self, diamond):
         q = SrlgDrcrQuery(0, diamond.node_id("t"), 5, 5)
