@@ -95,6 +95,7 @@ def _solve_one(net, q, algo: str, opts: PulseOptions,
     rec: dict = {"algo": algo}
     if algo == "pulse+":
         path, stats = solve_drcr(net, q, opts)
+        rec.update(ldf=opts.ldf, joint_pruning=opts.joint_pruning)
         if opts.joint_pruning:
             rec["cf_build_us"] = stats.cf_build_us
     elif algo == "cose-pulse+":
@@ -168,7 +169,10 @@ def cmd_report(args: argparse.Namespace) -> int:
                 if not line:
                     continue
                 rec = json.loads(line)
-                key = (rec.get("graph", "?"), rec.get("algo", "?"))
+                # pulse+ options that change the search get their own row
+                key = (rec.get("graph", "?"), rec.get("algo", "?")
+                       + ("/no-ldf" if rec.get("ldf") is False else "")
+                       + ("/joint-pruning" if rec.get("joint_pruning") else ""))
                 groups.setdefault(key, []).append(rec)
     if not groups:
         print("no result records found", file=sys.stderr)

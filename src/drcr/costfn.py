@@ -71,7 +71,7 @@ def compute_cost_functions(net: Network, s: int, t: int, U: int,
         kept += 1
         dlist.append(delay)
         costs[u].append(cost)
-        for v, d_e, c_e in ingress[u]:
+        for v, d_e, c_e, _lid in ingress[u]:
             new_delay = delay + d_e
             new_cost = cost + c_e
             if new_delay <= slack[v] and new_cost < room[v]:

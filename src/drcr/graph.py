@@ -86,16 +86,16 @@ class Srlg:
 class Network:
     """Immutable-after-construction directed multigraph.
 
-    ``out_adj[u]`` / ``in_adj[u]`` hold link ids leaving / entering ``u``.
-    ``srlgs`` maps Srlg id to the set of member links; membership is stored
-    per-link and the table here is the inverted index.
+    ``links`` is the link table, indexed by link id.  ``egress[u]`` and
+    ``ingress[u]`` are the only adjacency: rows of the links leaving and
+    entering ``u``, built from ``links`` on first use.  ``srlgs`` maps Srlg
+    id to the set of member links; membership is stored per-link and the
+    table here is the inverted index.
     """
 
     num_nodes: int
     node_names: list[str]
     links: list[Link]
-    out_adj: list[list[int]]
-    in_adj: list[list[int]]
     srlgs: dict[int, Srlg]
 
     @classmethod
@@ -104,8 +104,6 @@ class Network:
         links = list(links)
         if node_names is None:
             node_names = [str(i) for i in range(num_nodes)]
-        out_adj: list[list[int]] = [[] for _ in range(num_nodes)]
-        in_adj: list[list[int]] = [[] for _ in range(num_nodes)]
         total_delay = 0
         total_cost = 0
         for idx, link in enumerate(links):
@@ -121,8 +119,6 @@ class Network:
                 raise GraphFormatError(f"link {link.id}: negative delay or cost")
             total_delay += link.delay
             total_cost += link.cost
-            out_adj[link.src].append(link.id)
-            in_adj[link.dst].append(link.id)
         if total_delay >= _SUM_LIMIT or total_cost >= _SUM_LIMIT:
             raise GraphFormatError("delay/cost totals risk 64-bit overflow")
         srlg_members: dict[int, set[int]] = {}
@@ -132,7 +128,7 @@ class Network:
                     raise GraphFormatError(f"link {link.id}: negative Srlg id")
                 srlg_members.setdefault(r, set()).add(link.id)
         srlgs = {r: Srlg(r, frozenset(m)) for r, m in sorted(srlg_members.items())}
-        return cls(num_nodes, node_names, links, out_adj, in_adj, srlgs)
+        return cls(num_nodes, node_names, links, srlgs)
 
     def node_id(self, name: str) -> int:
         return self.node_names.index(name)
@@ -149,17 +145,20 @@ class Network:
     @cached_property
     def egress(self) -> list[list[tuple[int, int, int, int]]]:
         """Per-node rows ``(dst, delay, cost, link_id)`` of the links leaving
-        it, in ``out_adj`` order, which is link-id order."""
-        links = self.links
-        return [[(links[lid].dst, links[lid].delay, links[lid].cost, lid)
-                 for lid in lids] for lids in self.out_adj]
+        it, in link-id order."""
+        rows = [[] for _ in range(self.num_nodes)]
+        for link in self.links:
+            rows[link.src].append((link.dst, link.delay, link.cost, link.id))
+        return rows
 
     @cached_property
-    def ingress(self) -> list[list[tuple[int, int, int]]]:
-        """Per-node rows ``(src, delay, cost)`` of the links entering it."""
-        links = self.links
-        return [[(links[lid].src, links[lid].delay, links[lid].cost)
-                 for lid in lids] for lids in self.in_adj]
+    def ingress(self) -> list[list[tuple[int, int, int, int]]]:
+        """Per-node rows ``(src, delay, cost, link_id)`` of the links entering
+        it, in link-id order."""
+        rows = [[] for _ in range(self.num_nodes)]
+        for link in self.links:
+            rows[link.dst].append((link.src, link.delay, link.cost, link.id))
+        return rows
 
 
 def check_endpoints(net: Network, src: int, dst: int) -> None:
@@ -252,33 +251,23 @@ class ShortestTree:
 def dijkstra(net: Network, root: int, weights: list[float], *,
              reverse: bool = False,
              disabled: Optional[set[int]] = None,
-             banned_nodes: Iterable[int] = (),
              target: Optional[int] = None,
              deadline: Optional[Deadline] = None) -> ShortestTree:
     """Shortest tree from (``reverse``: towards) ``root`` over link ``weights``.
 
-    Disabled links and every link into (``reverse``: out of) a banned node
-    are skipped.  With a ``target`` the search stops once the target is
-    settled, so only ``dist[target]`` and its tree path are final.
+    Walks the ``net.egress`` (``reverse``: ``net.ingress``) rows, skipping
+    links in ``disabled``.  With a ``target`` the search stops once the
+    target is settled, so only ``dist[target]`` and its tree path are final.
     """
     if not 0 <= root < net.num_nodes:
         raise ValueError(f"node {root} out of range")
     n = net.num_nodes
-    adj = net.in_adj if reverse else net.out_adj
-    skip = disabled
-    if banned_nodes:
-        # Links into banned nodes on the search side: in_adj forward,
-        # out_adj when the search runs against link direction.
-        entering = net.out_adj if reverse else net.in_adj
-        skip = set(disabled or ())
-        for v in banned_nodes:
-            skip.update(entering[v])
+    adj = net.ingress if reverse else net.egress
     dist: list[float] = [INF] * n
     next_hop = [-1] * n
     dist[root] = 0
     heap: list[tuple[float, int]] = [(0, root)]
     done = [False] * n
-    links = net.links
     settled = 0
     while heap:
         d, u = heapq.heappop(heap)
@@ -291,11 +280,9 @@ def dijkstra(net: Network, root: int, weights: list[float], *,
             break
         settled += 1
         done[u] = True
-        for lid in adj[u]:
-            if skip and lid in skip:
+        for v, _d, _c, lid in adj[u]:
+            if disabled and lid in disabled:
                 continue
-            link = links[lid]
-            v = link.src if reverse else link.dst
             nd = d + weights[lid]
             if nd < dist[v]:
                 dist[v] = nd

@@ -74,6 +74,7 @@ def yen_ksp(net: Network, s: int, t: int, w: WeightFn,
     weights = w.link_weights(net)
     if weights and min(weights) < -1e-12:
         raise ValueError("negative link weight")
+    ingress = net.ingress
     current = dijkstra(net, s, weights, target=t,
                        deadline=deadline).path_from(net, t)
     emitted: list[tuple[int, ...]] = []
@@ -89,10 +90,11 @@ def yen_ksp(net: Network, s: int, t: int, w: WeightFn,
             if deadline is not None and deadline.expired("ksp.yen"):
                 return
             root = cur_links[:i]
-            banned_links = {p[i] for p in emitted
-                            if len(p) > i and p[:i] == root}
-            tree = dijkstra(net, nodes[i], weights, disabled=banned_links,
-                            banned_nodes=nodes[:i], target=t)
+            # the spur may not take an emitted path's next link, nor enter
+            # a node of the root path
+            banned = {p[i] for p in emitted if len(p) > i and p[:i] == root}
+            banned.update(row[3] for v in nodes[:i] for row in ingress[v])
+            tree = dijkstra(net, nodes[i], weights, disabled=banned, target=t)
             spur = tree.path_from(net, t)
             if spur is not None:
                 cand = root + spur.links
@@ -269,8 +271,9 @@ def lagrangian_ksp_drcr(net: Network, q: DrcrQuery,
     if ready is not None:
         stats.lambda_value = 0.0
         return ready, finish(stats, deadline, "optimal")
-    sel = choose_lambda(net, q, case, deadline)
-    lam = sel.lambda_star
+    lam = choose_lambda(net, q, case, deadline).lambda_star
+    if deadline.phase is not None:  # a bisection cut short chose nothing
+        return None, finish(stats, deadline, "timeout")
     stats.lambda_value = lam
     w = WeightFn.lagrangian(lam)
     offset = max(lam * q.L, lam * q.U)
@@ -328,6 +331,8 @@ def srlg_lagrangian_ksp(net: Network, q: SrlgDrcrQuery,
     else:
         lam, _g = _bisect_lambda(net, q.src, q.dst, 0, q.U, 0.0, big, q.U,
                                  deadline)
+        if deadline.phase is not None:  # cut short: no multiplier chosen
+            return None, finish(stats, deadline, "timeout")
     stats.lambda_value = lam
     w = WeightFn.lagrangian(lam)
     gen = yen_ksp(net, q.src, q.dst, w, deadline)

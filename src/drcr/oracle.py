@@ -34,8 +34,7 @@ def enumerate_elementary_paths(net: Network, s: int, t: int,
                 raise ExplosionGuard(f"more than {max_paths} paths")
             out.append(Path.from_links(net, prefix))
             return
-        for lid in net.out_adj[u]:
-            v = net.links[lid].dst
+        for v, _d, _c, lid in net.egress[u]:
             if v in visited:
                 continue
             visited.add(v)

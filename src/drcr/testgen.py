@@ -33,7 +33,6 @@ class GenConfig:
     seed: int = 0
     srlg_style: str = "none"  # none | star | nonstar
     srlg_size_range: tuple[int, int] = (1, 40)
-    ul_gap_max: int = 20
 
     def __post_init__(self):
         if self.n < 2:
@@ -145,14 +144,14 @@ def gen_srlgs(net: Network, style: str, cfg: GenConfig) -> Network:
         avg_deg = max(1, math.ceil(m / net.num_nodes))
         next_id = 0
         for u in range(net.num_nodes):
-            egress = net.out_adj[u]
+            egress = net.egress[u]
             if not egress:
                 continue
             size = int(rng.integers(1, avg_deg + 1))
             size = min(size, len(egress))
             chosen = rng.choice(len(egress), size=size, replace=False)
             for k in chosen:
-                member[egress[int(k)]].add(next_id)
+                member[egress[int(k)][3]].add(next_id)
             next_id += 1
     elif style == "nonstar":
         lo, hi = cfg.srlg_size_range

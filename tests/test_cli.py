@@ -127,6 +127,20 @@ class TestReport:
         assert lines[0] == "topology,algo,p50_us,p75_us,p99_us,completion_rate"
         assert lines[1] == "g,pulse+,20,30,40,1.0000"
 
+    def test_pulse_options_get_their_own_rows(self, g1_files, tmp_path):
+        graph, queries = g1_files
+        results = []
+        for name, flags in (("ldf", []), ("no-ldf", ["--no-ldf"]),
+                            ("joint", ["--joint-pruning"])):
+            out = tmp_path / f"{name}.jsonl"
+            assert main(["solve", "--graph", graph, "--queries", queries,
+                         "--algo", "pulse+", "--out", str(out)] + flags) == 0
+            results.append(str(out))
+        rep = tmp_path / "rep.csv"
+        assert main(["report", "--results", *results, "--out", str(rep)]) == 0
+        algos = [row.split(",")[1] for row in rep.read_text().splitlines()[1:]]
+        assert algos == ["pulse+", "pulse+/joint-pruning", "pulse+/no-ldf"]
+
     def test_half_timeouts(self, tmp_path):
         recs = [{"status": "optimal", "elapsed_us": 5, "algo": "a",
                  "graph": "g", "time_limit_us": 100}] * 2 + \

@@ -25,7 +25,7 @@ def test_g1_shape(g1):
     assert len(g1.links) == 4
     assert sum(l.delay for l in g1.links) == 6
     assert sum(l.cost for l in g1.links) == 12
-    assert g1.out_adj[g1.node_id("s")] == [0, 2]
+    assert [row[3] for row in g1.egress[g1.node_id("s")]] == [0, 2]
 
 
 def test_reverse_delay_tree(g1):
@@ -119,6 +119,19 @@ def test_build_dump_load_identity(raw):
             continue
         links.append(Link(len(links), u, v, d, c, frozenset(srlgs)))
     net = Network.build(6, links)
+    # every link is one egress row at its tail and one ingress row at its
+    # head; each node's rows run in ascending link id
+    egress = sorted((u, row) for u, rows in enumerate(net.egress)
+                    for row in rows)
+    ingress = sorted((u, row) for u, rows in enumerate(net.ingress)
+                     for row in rows)
+    assert egress == sorted((l.src, (l.dst, l.delay, l.cost, l.id))
+                            for l in links)
+    assert ingress == sorted((l.dst, (l.src, l.delay, l.cost, l.id))
+                             for l in links)
+    for rows in net.egress + net.ingress:
+        ids = [row[3] for row in rows]
+        assert ids == sorted(ids)
     if not links:
         return
     again = load_network(dump_network(net))

@@ -189,6 +189,16 @@ class TestLagrangianKsp:
         assert deadline.phase == "graph.dijkstra"
         assert len(calls) == 2  # the bracket ends only
 
+    def test_bisection_cut_short_chooses_no_lambda(self, limit_passes_in):
+        net = load_network("0,s,t,9,1,\n1,s,a,1,5,\n2,a,t,1,5,\n")
+        limit_passes_in(drcr.ksp, "_bisect_lambda")
+        path, stats = lagrangian_ksp_drcr(net, DrcrQuery(0, 1, 0, 4), 1.0)
+        assert path is None and stats.status == "timeout"
+        assert stats.lambda_value is None
+        pair, stats = srlg_lagrangian_ksp(net, SrlgDrcrQuery(0, 1, 4, 1), 1.0)
+        assert pair is None and stats.status == "timeout"
+        assert stats.lambda_value is None
+
     @pytest.mark.parametrize("seed", range(20))
     def test_three_ksp_solvers_agree_with_oracle(self, seed):
         rng = np.random.default_rng(seed + 700)
