@@ -1,8 +1,10 @@
 """Directed-graph model shared by every solver.
 
 Links carry integer delay/cost values plus Srlg memberships.  Delays and
-costs are unsigned integers so that pruning comparisons are exact; only the
-Lagrangian machinery in :mod:`drcr.ksp` ever touches floating point.
+costs are unsigned integers, and the delay and cost totals over all links
+stay below 2^53, so tree distances, which are float64, are exact integers
+and pruning comparisons are exact; only the Lagrangian weights in
+:mod:`drcr.ksp` are fractional.
 
 Graph files are UTF-8 edge lists, one link per line::
 
@@ -15,17 +17,21 @@ and are densified to ``0..n-1`` in order of first appearance.
 
 from __future__ import annotations
 
-import heapq
 import time
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
+
 INF = float("inf")
 
-# Sum of delays (or costs) over every link must stay below this so that no
-# simple-path accumulation can overflow 64-bit arithmetic downstream.
-_SUM_LIMIT = 1 << 62
+# Sum of delays (or costs) over every link must stay below this so that
+# every path total, as a float64 tree distance, is an exact integer.
+_SUM_LIMIT = 1 << 53
 
 
 class GraphFormatError(ValueError):
@@ -36,11 +42,12 @@ class Deadline:
     """One time limit for a whole solve, started at construction.
 
     Each long-running layer calls :meth:`expired` on its first step, then
-    every 64 settled nodes or kept labels (a check costs about as much as
-    settling a node) or 1024 search pops; once it is true the
-    layer stops and returns what it has, which proves nothing, so a layer
-    entered after that returns at once.  ``phase`` names the layer that
-    first found the limit passed; callers read it before they use a result.
+    every 64 kept labels (a check costs about as much as keeping one) or
+    1024 search pops; Dijkstra, one call into compiled code, checks just
+    before and just after it.  Once it is true the layer stops and returns
+    what it has, which proves nothing, so a layer entered after that
+    returns at once.  ``phase`` names the layer that first found the limit
+    passed; callers read it before they use a result.
     """
 
     def __init__(self, seconds: Optional[float] = None):
@@ -87,10 +94,11 @@ class Network:
     """Immutable-after-construction directed multigraph.
 
     ``links`` is the link table, indexed by link id.  ``egress[u]`` and
-    ``ingress[u]`` are the only adjacency: rows of the links leaving and
-    entering ``u``, built from ``links`` on first use.  ``srlgs`` maps Srlg
-    id to the set of member links; membership is stored per-link and the
-    table here is the inverted index.
+    ``ingress[u]`` are the only adjacency the solvers walk: rows of the links
+    leaving and entering ``u``, built from ``links`` on first use.  Dijkstra
+    reads the same links as a CSR matrix per direction (:meth:`matrix`).
+    ``srlgs`` maps Srlg id to the set of member links; membership is stored
+    per-link and the table here is the inverted index.
     """
 
     num_nodes: int
@@ -120,7 +128,8 @@ class Network:
             total_delay += link.delay
             total_cost += link.cost
         if total_delay >= _SUM_LIMIT or total_cost >= _SUM_LIMIT:
-            raise GraphFormatError("delay/cost totals risk 64-bit overflow")
+            raise GraphFormatError(
+                "delay/cost totals must stay below 2^53 to stay exact")
         srlg_members: dict[int, set[int]] = {}
         for link in links:
             for r in link.srlgs:
@@ -130,17 +139,52 @@ class Network:
         srlgs = {r: Srlg(r, frozenset(m)) for r, m in sorted(srlg_members.items())}
         return cls(num_nodes, node_names, links, srlgs)
 
+    @cached_property
+    def _node_ids(self) -> dict[str, int]:
+        return {name: idx for idx, name in enumerate(self.node_names)}
+
     def node_id(self, name: str) -> int:
-        return self.node_names.index(name)
+        """The id of the node called ``name``; ``ValueError`` if none."""
+        try:
+            return self._node_ids[name]
+        except KeyError:
+            raise ValueError(f"no node named {name!r}") from None
 
     @cached_property
-    def _weights(self) -> dict[str, list[int]]:
-        return {"delay": [link.delay for link in self.links],
-                "cost": [link.cost for link in self.links]}
+    def _weights(self) -> dict[str, np.ndarray]:
+        return {"delay": np.array([link.delay for link in self.links], float),
+                "cost": np.array([link.cost for link in self.links], float)}
 
-    def weights(self, metric: str) -> list[int]:
-        """Per-link ``"delay"`` or ``"cost"`` values, indexed by link id."""
+    def weights(self, metric: str) -> np.ndarray:
+        """Per-link ``"delay"`` or ``"cost"`` values as float64, indexed by
+        link id."""
         return self._weights[metric]
+
+    @cached_property
+    def _matrices(self) -> dict[bool, tuple[csr_matrix, np.ndarray]]:
+        return {}
+
+    def matrix(self, reverse: bool) -> tuple[csr_matrix, np.ndarray]:
+        """The link-level CSR matrix and its entry -> link-id permutation.
+
+        One entry per link, in the row of its tail (``reverse``: its head)
+        and the column of its other end; inside a row, entries run in link-id
+        order.  Built on first use per direction; :func:`dijkstra` writes the
+        weights of each call into its ``data``.
+        """
+        cached = self._matrices.get(reverse)
+        if cached is None:
+            n = self.num_nodes
+            tails = np.array([link.src for link in self.links], np.int32)
+            heads = np.array([link.dst for link in self.links], np.int32)
+            rows, cols = (heads, tails) if reverse else (tails, heads)
+            perm = np.argsort(rows, kind="stable")
+            indptr = np.zeros(n + 1, np.int32)
+            indptr[1:] = np.cumsum(np.bincount(rows, minlength=n))
+            mat = csr_matrix((np.zeros(len(perm)), cols[perm], indptr),
+                             shape=(n, n))
+            cached = self._matrices[reverse] = (mat, perm)
+        return cached
 
     @cached_property
     def egress(self) -> list[list[tuple[int, int, int, int]]]:
@@ -222,73 +266,85 @@ class ShortestTree:
     """Single-metric shortest-path tree.
 
     For a destination-rooted (reverse) tree, ``dist[u]`` is the least metric
-    over all u->root paths and ``next_hop[u]`` the first link of one such
-    path.  For a source-rooted (forward) tree, ``next_hop[u]`` is the link
-    entering ``u`` on a shortest root->u path.
+    over all u->root paths; for a source-rooted (forward) tree, over all
+    root->u paths.  ``pred`` is csgraph's predecessor array (negative at the
+    root and where unreachable) and ``weights`` the per-link weights the tree
+    was built on, ``inf`` on disabled links.  :meth:`path_from` derives the
+    tree's links from these.
     """
 
     root: int
     reverse: bool
     dist: list[float]
-    next_hop: list[int]  # link id, -1 where unreachable / at root
+    pred: np.ndarray
+    weights: np.ndarray
 
     def path_from(self, net: Network, u: int) -> Optional[Path]:
-        """Reconstruct the tree path between ``u`` and the root."""
-        if self.dist[u] == INF:
+        """The tree path between ``u`` and the root.
+
+        Walking from ``u``, at each node ``v`` take, among the tight links
+        (``weight + dist[h] == dist[v]``) to a node ``h`` with ``dist[h] <
+        dist[v]``, the one with the least ``(dist[h], h, link id)``.  That is
+        the link a heap Dijkstra keeps on positive weights: it settles nodes
+        in ``(dist, id)`` order and keeps the first strictly improving link.
+        A node whose tight links all lead to nodes at its own distance (zero
+        weights) takes the lowest-id tight link to ``pred[v]`` instead, so the
+        walk never cycles.
+        """
+        dist = self.dist
+        if dist[u] == INF:
             return None
+        rows = net.egress if self.reverse else net.ingress
+        weights = self.weights
         ids: list[int] = []
         node = u
         while node != self.root:
-            lid = self.next_hop[node]
+            dv = dist[node]
+            tight = [(dist[h], h, lid) for h, _d, _c, lid in rows[node]
+                     if dist[h] + weights[lid] == dv]  # in link-id order
+            nearer = [hop for hop in tight if hop[0] < dv]
+            if nearer:
+                _dh, node, lid = min(nearer)
+            else:
+                pred = self.pred[node]
+                _dh, node, lid = next(hop for hop in tight if hop[1] == pred)
             ids.append(lid)
-            link = net.links[lid]
-            node = link.dst if self.reverse else link.src
         if not self.reverse:
             ids.reverse()
         return Path.from_links(net, ids)
 
 
-def dijkstra(net: Network, root: int, weights: list[float], *,
+def dijkstra(net: Network, root: int, weights: np.ndarray, *,
              reverse: bool = False,
              disabled: Optional[set[int]] = None,
-             target: Optional[int] = None,
              deadline: Optional[Deadline] = None) -> ShortestTree:
     """Shortest tree from (``reverse``: towards) ``root`` over link ``weights``.
 
-    Walks the ``net.egress`` (``reverse``: ``net.ingress``) rows, skipping
-    links in ``disabled``.  With a ``target`` the search stops once the
-    target is settled, so only ``dist[target]`` and its tree path are final.
+    One ``scipy.sparse.csgraph.dijkstra`` call on ``net.matrix(reverse)``;
+    links in ``disabled`` weigh ``inf``, which csgraph reads as no link.  The
+    deadline is checked just before and just after the call; a tree whose
+    call never started reaches only the root.
     """
     if not 0 <= root < net.num_nodes:
         raise ValueError(f"node {root} out of range")
-    n = net.num_nodes
-    adj = net.ingress if reverse else net.egress
-    dist: list[float] = [INF] * n
-    next_hop = [-1] * n
-    dist[root] = 0
-    heap: list[tuple[float, int]] = [(0, root)]
-    done = [False] * n
-    settled = 0
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        if u == target:
-            break
-        if settled & 63 == 0 and deadline is not None \
-                and deadline.expired("graph.dijkstra"):
-            break
-        settled += 1
-        done[u] = True
-        for v, _d, _c, lid in adj[u]:
-            if disabled and lid in disabled:
-                continue
-            nd = d + weights[lid]
-            if nd < dist[v]:
-                dist[v] = nd
-                next_hop[v] = lid
-                heapq.heappush(heap, (nd, v))
-    return ShortestTree(root, reverse, dist, next_hop)
+    if disabled:
+        weights = weights.copy()
+        weights[list(disabled)] = INF
+    if deadline is not None and deadline.expired("graph.dijkstra"):
+        dist = [INF] * net.num_nodes
+        dist[root] = 0.0
+        return ShortestTree(root, reverse, dist,
+                            np.full(net.num_nodes, -9999), weights)
+    mat, perm = net.matrix(reverse)
+    mat.data = weights[perm]
+    with warnings.catch_warnings():
+        # at lam = -mu float rounding leaves c + lam*d a hair below zero
+        warnings.filterwarnings("ignore", "Graph has negative weights")
+        dist, pred = _csgraph_dijkstra(mat, indices=root,
+                                       return_predecessors=True)
+    if deadline is not None:
+        deadline.expired("graph.dijkstra")
+    return ShortestTree(root, reverse, dist.tolist(), pred, weights)
 
 
 def build_reverse_tree(net: Network, t: int, metric: str,

@@ -14,6 +14,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .graph import INF, Deadline, Network, Path, check_endpoints, dijkstra, \
     finish
 from .pulse import DrcrCase, DrcrQuery, classify_case, dst_trees
@@ -39,12 +41,13 @@ class WeightFn:
     def lagrangian(cls, lam: float) -> "WeightFn":
         return cls("lagrangian", lam)
 
-    def link_weights(self, net: Network) -> list[float]:
-        """Per-link weights; the cost and delay lists are the network's own."""
+    def link_weights(self, net: Network) -> np.ndarray:
+        """Per-link float64 weights; the cost and delay arrays are the
+        network's own."""
         if self.kind in ("cost", "delay"):
             return net.weights(self.kind)
         if self.kind == "lagrangian":
-            return [link.cost + self.lam * link.delay for link in net.links]
+            return net.weights("cost") + self.lam * net.weights("delay")
         raise ValueError(f"unknown weight kind {self.kind!r}")
 
     def path_weight(self, p: Path) -> float:
@@ -72,11 +75,10 @@ def yen_ksp(net: Network, s: int, t: int, w: WeightFn,
     whole node pair, so parallel links yield distinct paths.
     """
     weights = w.link_weights(net)
-    if weights and min(weights) < -1e-12:
+    if (weights < -1e-12).any():
         raise ValueError("negative link weight")
     ingress = net.ingress
-    current = dijkstra(net, s, weights, target=t,
-                       deadline=deadline).path_from(net, t)
+    current = dijkstra(net, s, weights, deadline=deadline).path_from(net, t)
     emitted: list[tuple[int, ...]] = []
     candidates: list[tuple[float, tuple[int, ...]]] = []
     seen: set[tuple[int, ...]] = set() if current is None else {current.links}
@@ -94,7 +96,7 @@ def yen_ksp(net: Network, s: int, t: int, w: WeightFn,
             # a node of the root path
             banned = {p[i] for p in emitted if len(p) > i and p[:i] == root}
             banned.update(row[3] for v in nodes[:i] for row in ingress[v])
-            tree = dijkstra(net, nodes[i], weights, disabled=banned, target=t)
+            tree = dijkstra(net, nodes[i], weights, disabled=banned)
             spur = tree.path_from(net, t)
             if spur is not None:
                 cand = root + spur.links
@@ -165,8 +167,7 @@ def _min_weight_delay(net: Network, s: int, t: int, lam: float,
                       ) -> tuple[float, int]:
     """Weight and delay of a min-(c + lam*d)-weight s->t path."""
     weights = WeightFn.lagrangian(lam).link_weights(net)
-    path = dijkstra(net, s, weights, target=t,
-                    deadline=deadline).path_from(net, t)
+    path = dijkstra(net, s, weights, deadline=deadline).path_from(net, t)
     if path is None:
         return INF, 0
     return path.cost + lam * path.delay, path.delay

@@ -307,16 +307,10 @@ def _search(net: Network, q: DrcrQuery, opts: PulseOptions, deadline: Deadline,
 
 def pulse_plus(net: Network, q: DrcrQuery,
                opts: Optional[PulseOptions] = None,
-               *,
-               delay_tree: Optional[ShortestTree] = None,
-               cost_tree: Optional[ShortestTree] = None,
                ) -> tuple[Optional[Path], SearchStats]:
     """Solve a DRCR query to optimality (or prove infeasibility).
 
-    Callers may pass precomputed destination-rooted delay and cost trees
-    (trees only: the search sorts egress rows itself) so that batch runs
-    against one destination amortise the Dijkstras.  With
-    ``opts.joint_pruning`` the plain-cut search runs first under
+    With ``opts.joint_pruning`` the plain-cut search runs first under
     ``PLAIN_BUDGET`` iterations; only a query it cannot finish pays for the
     cost-function build, capped at the incumbent ``UB`` it found, and a
     joint-cut search that looks for a path cheaper than ``UB``.  The stats
@@ -326,7 +320,7 @@ def pulse_plus(net: Network, q: DrcrQuery,
     """
     opts = opts or PulseOptions()
     deadline = Deadline(opts.time_limit)
-    trees = dst_trees(net, q, deadline, delay_tree, cost_tree)
+    trees = dst_trees(net, q, deadline)
     path, stats = _search(net, q, opts, deadline, *trees)
     return path, finish(stats, deadline, stats.status)
 

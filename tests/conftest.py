@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from drcr.graph import Link, Network, load_network
 
@@ -47,6 +48,27 @@ def random_net(seed, n, p, max_srlgs=0, value_hi=10):
                                   int(rng.integers(1, value_hi + 1)),
                                   srlgs))
     return Network.build(n, links)
+
+
+@st.composite
+def multigraphs(draw, num_srlgs=0):
+    """Up to 7 nodes; each drawn node pair gets one or two parallel links."""
+    n = draw(st.integers(2, 7))
+    groups = (st.frozensets(st.integers(0, num_srlgs - 1), max_size=2)
+              if num_srlgs else st.just(frozenset()))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                     groups), min_size=1, max_size=2)),
+        max_size=10))
+    links = []
+    for u, v, specs in pairs:
+        if u == v:
+            continue
+        for delay, cost, srlgs in specs:
+            links.append(Link(len(links), u, v, delay, cost, srlgs))
+    return Network.build(n, links)
+
 
 # Diamond with a cheap fast path and a dear slow one.  Min-delay and
 # min-cost coincide on s->a->t (delay 2, cost 2); s->b->t has delay 4,

@@ -98,7 +98,7 @@ def big_corpus():
                                4 if i % 2 == 0 else 6,
                                dst=dst, delay_tree=dtree, cost_tree=ctree)
             queries.append(q)
-        groups.append((dtree, ctree, queries))
+        groups.append(queries)
     return net, groups
 
 
@@ -108,14 +108,11 @@ def big_runs(big_corpus):
     rows = []
     # No time limit: the iteration counts criteria 6 and 7 compare must not
     # depend on how fast the host is.
-    for dtree, ctree, queries in groups:
+    for queries in groups:
         for q in queries:
-            p0, s0 = pulse_plus(net, q, PulseOptions(ldf=False),
-                                delay_tree=dtree, cost_tree=ctree)
-            p1, s1 = pulse_plus(net, q, PulseOptions(),
-                                delay_tree=dtree, cost_tree=ctree)
-            p2, s2 = pulse_plus(net, q, PulseOptions(joint_pruning=True),
-                                delay_tree=dtree, cost_tree=ctree)
+            p0, s0 = pulse_plus(net, q, PulseOptions(ldf=False))
+            p1, s1 = pulse_plus(net, q, PulseOptions())
+            p2, s2 = pulse_plus(net, q, PulseOptions(joint_pruning=True))
             for p in (p0, p1, p2):
                 if p is not None:
                     COLLECTED_PATHS.append((net, p, q.L, q.U))

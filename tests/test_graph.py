@@ -1,6 +1,9 @@
-import pytest
-from hypothesis import given, strategies as st
+import warnings
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import multigraphs
 from drcr.graph import (
     INF,
     GraphFormatError,
@@ -9,13 +12,14 @@ from drcr.graph import (
     Path,
     build_forward_tree,
     build_reverse_tree,
+    dijkstra,
     dump_network,
     is_elementary,
     load_network,
     srlgs_of_path,
 )
-from drcr.ksp import cost_ksp_drcr, delay_ksp_drcr, lagrangian_ksp_drcr, \
-    srlg_ksp_drcr, srlg_lagrangian_ksp
+from drcr.ksp import WeightFn, cost_ksp_drcr, delay_ksp_drcr, \
+    lagrangian_ksp_drcr, srlg_ksp_drcr, srlg_lagrangian_ksp
 from drcr.pulse import DrcrQuery, pulse_plus, solve_drcr
 from drcr.srlg import SrlgDrcrQuery, cose_pulse_plus
 
@@ -47,6 +51,134 @@ def test_unreachable_dist_is_inf():
     tree = build_reverse_tree(net, 0, "delay")
     assert tree.dist[1] == INF
     assert tree.path_from(net, 1) is None
+
+
+def weighted(num_nodes, ends):
+    """A net whose link i runs ``ends[i] = (src, dst, delay)``, cost 1."""
+    return Network.build(num_nodes, [Link(i, u, v, d, 1)
+                                     for i, (u, v, d) in enumerate(ends)])
+
+
+def test_path_from_tie_rule_pinned():
+    # Nodes 1 and 2 both sit at delay 2 from the root 0.  Node 3 reaches
+    # them over links 2 (to 2) and 3, 4 (parallel, to 1) at delay 2 each,
+    # and over link 5 (to 1) at delay 5.  Node 4 reaches the root at delay
+    # 5 both over link 6 (to 3, at 4) and over link 7 (to 1, at 2).  The
+    # least (dist[h], h, link id) takes link 3 at node 3 and link 7 at node
+    # 4, as a heap Dijkstra does; csgraph's predecessor of 3 is node 2.
+    net = weighted(5, [(2, 0, 2), (1, 0, 2), (3, 2, 2), (3, 1, 2), (3, 1, 2),
+                       (3, 1, 5), (4, 3, 1), (4, 1, 3)])
+    tree = build_reverse_tree(net, 0, "delay")
+    assert tree.dist == [0, 2, 2, 4, 5]
+    assert [tree.path_from(net, u).links for u in range(5)] == \
+        [(), (1,), (0,), (3, 1), (7, 1)]
+
+
+def test_path_from_zero_weight_ties_terminate():
+    # Nodes 1 and 2 reach the root only through each other, 3 and 4, all at
+    # distance 5 over zero-delay links: every tight link of theirs leads to
+    # a node at their own distance, so the walk follows the predecessors.
+    net = weighted(5, [(1, 2, 0), (2, 1, 0), (1, 3, 0), (2, 4, 0),
+                       (3, 0, 5), (4, 0, 5)])
+    tree = build_reverse_tree(net, 0, "delay")
+    assert tree.dist == [0, 5, 5, 5, 5]
+    for u in (1, 2):
+        p = tree.path_from(net, u)
+        assert is_elementary(p) and p.nodes[0] == u and p.nodes[-1] == 0
+        assert p.delay == 5
+
+
+def bellman_ford(net, root, metric, reverse, disabled):
+    dist = [INF] * net.num_nodes
+    dist[root] = 0
+    for _ in range(net.num_nodes):
+        for link in net.links:
+            if link.id in disabled:
+                continue
+            w = getattr(link, metric)
+            near, far = (link.dst, link.src) if reverse else (link.src, link.dst)
+            dist[far] = min(dist[far], dist[near] + w)
+    return dist
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_dijkstra_matches_bellman_ford(data):
+    net = data.draw(multigraphs())
+    root = data.draw(st.integers(0, net.num_nodes - 1))
+    disabled = data.draw(st.sets(st.integers(0, max(len(net.links) - 1, 0)),
+                                 max_size=len(net.links)))
+    for metric in ("delay", "cost"):
+        for reverse in (True, False):
+            tree = dijkstra(net, root, net.weights(metric), reverse=reverse,
+                            disabled=disabled)
+            assert tree.dist == bellman_ford(net, root, metric, reverse,
+                                             disabled)
+            for u in range(net.num_nodes):
+                p = tree.path_from(net, u)
+                if tree.dist[u] == INF:
+                    assert p is None
+                    continue
+                assert Path.from_links(net, p.links) == p  # a chain
+                assert is_elementary(p) and not disabled & set(p.links)
+                if p.links:
+                    assert (p.nodes[0], p.nodes[-1]) == \
+                        ((u, root) if reverse else (root, u))
+                assert getattr(p, metric) == tree.dist[u]
+
+
+def test_lagrangian_rounding_below_zero_is_silent():
+    # At lam = -mu, c + lam*d of the link with the least c/d can round to a
+    # hair below zero: 7 - (7/25)*25 is -8.9e-16 in float64.
+    net = Network.build(3, [Link(0, 0, 1, 25, 7), Link(1, 1, 2, 1, 1)])
+    weights = WeightFn.lagrangian(-(7 / 25)).link_weights(net)
+    assert weights[0] < 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tree = dijkstra(net, 0, weights)
+    assert tree.path_from(net, 2).links == (0, 1)
+
+
+def test_totals_below_2_53_load_and_2_53_is_rejected():
+    big = (1 << 53) - 2
+    load_network(f"0,a,b,0,{big},\n1,b,c,0,1,\n")
+    with pytest.raises(GraphFormatError, match="2\\^53"):
+        load_network(f"0,a,b,0,{big},\n1,b,c,0,2,\n")
+    with pytest.raises(GraphFormatError, match="2\\^53"):
+        load_network(f"0,a,b,{1 << 53},0,\n")
+
+
+def test_tree_distances_exact_near_2_52():
+    delays = [(1 << 52) - 3, 1, (1 << 51) + 7, (1 << 51) - 9]
+    net = weighted(5, [(i, i + 1, d) for i, d in enumerate(delays)])
+    tree = build_reverse_tree(net, 4, "delay")
+    for u in range(4):
+        p = tree.path_from(net, u)
+        assert tree.dist[u] == p.delay == sum(delays[u:])
+        assert int(tree.dist[u]) == p.delay
+    assert build_forward_tree(net, 0, "delay").dist[4] == sum(delays)
+
+
+_FIELDS = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(
+    ["", " ", "x", "1.5", "-0", "1e3", "7;8", "1;-2", ";", "9" * 20]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_FIELDS, min_size=0, max_size=8).map(",".join),
+                max_size=6))
+def test_load_network_raises_only_graph_format_errors(lines):
+    try:
+        net = load_network("\n".join(lines))
+    except GraphFormatError:
+        return
+    assert len(net.links) <= len(lines)
+
+
+def test_node_id_looks_names_up():
+    net = load_network("0,x,y,1,1,\n1,y,z,1,1,\n")
+    assert [net.node_id(name) for name in "xyz"] == [0, 1, 2]
+    with pytest.raises(ValueError):
+        net.node_id("w")
 
 
 def test_disabled_links_cut_routes(g1):

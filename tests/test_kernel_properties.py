@@ -10,9 +10,10 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import multigraphs
 import drcr.pulse
 from drcr.costfn import compute_cost_functions, eval_cost_function
-from drcr.graph import Link, Network, build_forward_tree, is_elementary
+from drcr.graph import build_forward_tree, is_elementary
 from drcr.oracle import (
     brute_cost_function,
     brute_drcr,
@@ -22,26 +23,6 @@ from drcr.oracle import (
 )
 from drcr.pulse import DrcrQuery, PulseOptions, solve_drcr
 from drcr.srlg import SrlgDrcrQuery, cose_pulse_plus
-
-
-@st.composite
-def multigraphs(draw, num_srlgs=0):
-    """Up to 7 nodes; each drawn node pair gets one or two parallel links."""
-    n = draw(st.integers(2, 7))
-    groups = (st.frozensets(st.integers(0, num_srlgs - 1), max_size=2)
-              if num_srlgs else st.just(frozenset()))
-    pairs = draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                  st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
-                                     groups), min_size=1, max_size=2)),
-        max_size=10))
-    links = []
-    for u, v, specs in pairs:
-        if u == v:
-            continue
-        for delay, cost, srlgs in specs:
-            links.append(Link(len(links), u, v, delay, cost, srlgs))
-    return Network.build(n, links)
 
 
 # No limit, a limit that has passed on entry, and limits short enough to
