@@ -79,12 +79,14 @@ def yen_ksp(net: Network, s: int, t: int, w: WeightFn,
         raise ValueError("negative link weight")
     ingress = net.ingress
     current = dijkstra(net, s, weights, deadline=deadline).path_from(net, t)
-    emitted: list[tuple[int, ...]] = []
+    # root prefix -> the next link of every emitted path that starts with it
+    next_links: dict[tuple[int, ...], set[int]] = {}
     candidates: list[tuple[float, tuple[int, ...]]] = []
     seen: set[tuple[int, ...]] = set() if current is None else {current.links}
     while current is not None:
         cur_links = current.links
-        emitted.append(cur_links)
+        for i, lid in enumerate(cur_links):
+            next_links.setdefault(cur_links[:i], set()).add(lid)
         yield current
         nodes = current.nodes
         root_w = 0.0
@@ -94,8 +96,8 @@ def yen_ksp(net: Network, s: int, t: int, w: WeightFn,
             root = cur_links[:i]
             # the spur may not take an emitted path's next link, nor enter
             # a node of the root path
-            banned = {p[i] for p in emitted if len(p) > i and p[:i] == root}
-            banned.update(row[3] for v in nodes[:i] for row in ingress[v])
+            banned = next_links[root] | {row[3] for v in nodes[:i]
+                                         for row in ingress[v]}
             tree = dijkstra(net, nodes[i], weights, disabled=banned)
             spur = tree.path_from(net, t)
             if spur is not None:

@@ -1,15 +1,19 @@
 """Srlg-disjoint DRCR: conflict-set discovery and divide-and-conquer solver.
 
-The solver maintains a FIFO queue of sub-instances ``(include, exclude)``
-over an extended Srlg universe: non-negative ids are the network's real
-Srlgs, while ``-(link_id + 1)`` denotes the synthetic single-link group used
-when no informative conflict set exists.  Excluding a synthetic group simply
-disables its link; including one forces the link onto the active path.
+The solver keeps sub-instances ``(include, exclude)`` over an extended Srlg
+universe: non-negative ids are the network's real Srlgs, while
+``-(link_id + 1)`` denotes the synthetic single-link group used when no
+informative conflict set exists.  Excluding a synthetic group simply
+disables its link; including one forces the link onto the active path, so
+every other out-link of its tail and in-link of its head is disabled too.
+Sub-instances are solved best-first on their parent's active cost, a lower
+bound on their own, and the queue stops once that bound reaches the
+incumbent.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -181,13 +185,22 @@ def ap_pulse_plus(net: Network, src: int, dst: int, U: int,
                   stats: Optional[CoseStats] = None) -> Optional[Path]:
     """Min-cost active-path search under include/exclude/conflict constraints.
 
-    Exclusions are applied up front by disabling their links.  Inclusion and
-    conflict-avoidance are enforced at validation; conflict containment is
-    additionally used as a cut on partial paths.  Only paths costing less
-    than ``tmp_min`` are returned.
+    Exclusions are applied up front by disabling their links.  So are the
+    forced links: an elementary path through an included synthetic group's
+    link ``u -> v`` leaves ``u`` and enters ``v`` by that link, so every
+    other out-link of ``u`` and in-link of ``v`` is disabled before the
+    trees are built.  Inclusion and conflict-avoidance are enforced at
+    validation, since a path may still avoid both ends of a forced link;
+    conflict containment is additionally used as a cut on partial paths.
+    Only paths costing less than ``tmp_min`` are returned.
     """
     deadline = deadline or Deadline()
     disabled = _links_of_srlgs(net, instance.exclude)
+    for r in instance.include:
+        if r < 0:
+            forced = net.links[-r - 1]
+            rivals = net.egress[forced.src] + net.ingress[forced.dst]
+            disabled.update(row[3] for row in rivals if row[3] != forced.id)
     delay_tree = build_reverse_tree(net, dst, "delay", disabled=disabled,
                                     deadline=deadline)
     if deadline.phase is not None or delay_tree.dist[src] > U:
@@ -238,22 +251,29 @@ def cose_pulse_plus(net: Network, q: SrlgDrcrQuery,
                     ) -> tuple[Optional[PathPair], CoseStats]:
     """Conflict-Srlg-exclusion divide-and-conquer over sub-instances.
 
-    ``first_pair`` stops at the first feasible pair (feasibility testing,
-    e.g. trap classification) instead of driving the active cost to the
-    proven minimum.  Once ``time_limit`` (seconds) passes, the status is
+    Sub-instances are solved best-first, keyed by their parent's active
+    cost (the root by 0, ties in insertion order): a child only adds
+    constraints, so its active path costs at least that much.  The loop
+    stops once the smallest key reaches the incumbent's cost, since
+    :func:`ap_pulse_plus` returns only cheaper paths.  ``first_pair`` stops
+    at the first feasible pair (feasibility testing, e.g. trap
+    classification) instead of driving the active cost to the proven
+    minimum.  Once ``time_limit`` (seconds) passes, the status is
     ``timeout`` and the pair the best found, if any.
     """
     check_endpoints(net, q.src, q.dst)
     stats = CoseStats()
     deadline = Deadline(time_limit)
-    queue: deque[SubInstance] = deque([SubInstance(frozenset(), frozenset())])
+    # entry: (lower bound on the active cost, insertion number, sub-instance)
+    queue = [(0, 0, SubInstance(frozenset(), frozenset()))]
     seen = {(frozenset(), frozenset())}
     tmp_min: float = INF
     best: Optional[PathPair] = None
     # A layer that times out sets deadline.phase; later layers return at
     # once, and the loop test ends the queue.
-    while queue and not deadline.expired("srlg.queue"):
-        inst = queue.popleft()
+    while queue and queue[0][0] < tmp_min \
+            and not deadline.expired("srlg.queue"):
+        inst = heapq.heappop(queue)[2]
         stats.subinstances += 1
         active = ap_pulse_plus(net, q.src, q.dst, q.U, inst,
                                stats.conflict_sets, tmp_min, deadline, stats)
@@ -281,6 +301,6 @@ def cose_pulse_plus(net: Network, q: SrlgDrcrQuery,
             key = (child.include, child.exclude)
             if key not in seen:
                 seen.add(key)
-                queue.append(child)
+                heapq.heappush(queue, (active.cost, len(seen), child))
     return best, finish(stats, deadline,
                         "optimal" if best is not None else "infeasible")

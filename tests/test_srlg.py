@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_net
-from drcr.graph import Path, load_network, srlgs_of_path
+from drcr.graph import Link, Network, Path, load_network, srlgs_of_path
 from drcr.oracle import brute_srlg_drcr, verify_conflict_set
 from drcr.srlg import (
     ConflictSet,
@@ -166,6 +166,40 @@ class TestCose:
             assert pair is not None, seed
             assert pair.active.cost == expect[0], seed
             assert pair.is_valid(net, q.U, q.delta)
+
+
+def ladder_net(k: int) -> Network:
+    """s=0, t=1.  A cheap two-link route s->2->t in group 0, and a dear
+    ladder s->3->...->t in group 1: k layers of two nodes (one in the
+    first), every node linked to both nodes of the next layer, so the
+    ladder holds 2^(k-1) paths.  Their delays are far apart, so no route
+    backs the other up and neither has a conflict set."""
+    links = []
+
+    def add(u, v, delay, cost, groups=()):
+        links.append(Link(len(links), u, v, delay, cost, frozenset(groups)))
+
+    add(0, 2, 1, 1, {0})
+    add(2, 1, 1, 1, {0})
+    add(0, 3, 2, 1, {1})
+    for layer in range(k):
+        heads = [1] if layer == k - 1 else [5 + 2 * layer, 6 + 2 * layer]
+        for u in (3 + 2 * layer, 4 + 2 * layer):
+            for v in heads:
+                add(u, v, 2, 1)
+    return Network.build(3 + 2 * k, links)
+
+
+class TestForcedLinks:
+    def test_forced_prefix_pins_the_search(self):
+        # Child i of a conflict-free ladder path includes its first i
+        # links.  Without forcing them, each such child walks the ladder's
+        # every path and rejects it at t: 8106 iterations in all.
+        net = ladder_net(7)
+        pair, stats = cose_pulse_plus(net, SrlgDrcrQuery(0, 1, 40, 1))
+        assert pair is None and stats.status == "infeasible"
+        assert stats.subinstances == 194 and not stats.conflict_sets
+        assert stats.iterations <= 2000
 
 
 class TestPathPair:
