@@ -116,26 +116,30 @@ def test_forced_links_match_brute_force(data):
     net = data.draw(multigraphs(num_srlgs=4))
     s, t = 0, net.num_nodes - 1
     U = data.draw(upper_bounds(net))
+    paths = enumerate_elementary_paths(net, s, t)
     synthetic = [-(lid + 1) for lid in range(len(net.links))]
     # links into src or out of dst can never be on an elementary src->dst
     # path; forcing one must leave no path, whatever it disables
     ends = [-(l.id + 1) for l in net.links if l.dst == s or l.src == t]
     include: set[int] = set()
     exclude: set[int] = set()
+    if paths:  # mostly links of one path, so that some path carries them
+        on_path = data.draw(st.sampled_from(paths)).links
+        include |= {-(lid + 1) for lid in data.draw(
+            st.sets(st.sampled_from(on_path), min_size=1, max_size=3))}
+    for pool in (synthetic, ends):  # at most one more link of each
+        if pool:
+            include |= data.draw(st.sets(st.sampled_from(pool), max_size=1))
     if synthetic:
-        include |= data.draw(st.sets(st.sampled_from(synthetic), max_size=3))
         exclude |= data.draw(st.sets(st.sampled_from(synthetic),
                                      max_size=2)) - include
-    if ends:
-        include |= data.draw(st.sets(st.sampled_from(ends), max_size=1)) \
-            - exclude
     groups = synthetic + sorted(net.srlgs)
     conflicts = [ConflictSet(frozenset(g)) for g in data.draw(st.lists(
         st.sets(st.sampled_from(groups), min_size=1, max_size=2),
         max_size=2))] if groups else []
     tmp_min = data.draw(st.one_of(st.just(INF), st.integers(0, 15)))
     expect = INF
-    for p in enumerate_elementary_paths(net, s, t):
+    for p in paths:
         g = extended_groups(net, p)
         if p.delay <= U and include <= g and not exclude & g \
                 and not any(cs.srlgs <= g for cs in conflicts):

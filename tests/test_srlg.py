@@ -169,11 +169,11 @@ class TestCose:
 
 
 def ladder_net(k: int) -> Network:
-    """s=0, t=1.  A cheap two-link route s->2->t in group 0, and a dear
-    ladder s->3->...->t in group 1: k layers of two nodes (one in the
-    first), every node linked to both nodes of the next layer, so the
-    ladder holds 2^(k-1) paths.  Their delays are far apart, so no route
-    backs the other up and neither has a conflict set."""
+    """s=0, t=1.  A cheap route s->2->t in group 0, and a dear ladder from
+    s into node 3 in group 1: then k - 1 layers of two nodes, each node
+    linked to both nodes of the next layer and the last layer to t, so the
+    ladder holds 2^(k-1) paths.  Their delays are far apart, so neither
+    route backs the other up, and neither has a conflict set."""
     links = []
 
     def add(u, v, delay, cost, groups=()):
@@ -182,19 +182,19 @@ def ladder_net(k: int) -> Network:
     add(0, 2, 1, 1, {0})
     add(2, 1, 1, 1, {0})
     add(0, 3, 2, 1, {1})
-    for layer in range(k):
-        heads = [1] if layer == k - 1 else [5 + 2 * layer, 6 + 2 * layer]
-        for u in (3 + 2 * layer, 4 + 2 * layer):
+    layers = [[3]] + [[2 * j + 2, 2 * j + 3] for j in range(1, k)] + [[1]]
+    for tails, heads in zip(layers, layers[1:]):
+        for u in tails:
             for v in heads:
                 add(u, v, 2, 1)
-    return Network.build(3 + 2 * k, links)
+    return Network.build(2 * k + 2, links)
 
 
 class TestForcedLinks:
     def test_forced_prefix_pins_the_search(self):
         # Child i of a conflict-free ladder path includes its first i
-        # links.  Without forcing them, each such child walks the ladder's
-        # every path and rejects it at t: 8106 iterations in all.
+        # links.  Unless they are forced, each such child walks every
+        # ladder path and rejects it at t, some 8,000 iterations in all.
         net = ladder_net(7)
         pair, stats = cose_pulse_plus(net, SrlgDrcrQuery(0, 1, 40, 1))
         assert pair is None and stats.status == "infeasible"
