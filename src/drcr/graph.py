@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -32,6 +33,10 @@ INF = float("inf")
 # Sum of delays (or costs) over every link must stay below this so that
 # every path total, as a float64 tree distance, is an exact integer.
 _SUM_LIMIT = 1 << 53
+
+# Unmasked destination trees kept per network: one delay and one cost tree
+# for each of the 32 most recently used destinations.
+TREE_CACHE_SIZE = 64
 
 
 class GraphFormatError(ValueError):
@@ -98,7 +103,10 @@ class Network:
     leaving and entering ``u``, built from ``links`` on first use.  Dijkstra
     reads the same links as a CSR matrix per direction (:meth:`matrix`).
     ``srlgs`` maps Srlg id to the set of member links; membership is stored
-    per-link and the table here is the inverted index.
+    per-link and the table here is the inverted index.  The network also
+    caches the ``TREE_CACHE_SIZE`` destination trees on all its links that
+    it used last (:func:`build_reverse_tree`), about 160 KB each at 4000
+    nodes.
     """
 
     num_nodes: int
@@ -187,6 +195,10 @@ class Network:
         return cached
 
     @cached_property
+    def _trees(self) -> OrderedDict[tuple[int, str], "ShortestTree"]:
+        return OrderedDict()
+
+    @cached_property
     def egress(self) -> list[list[tuple[int, int, int, int]]]:
         """Per-node rows ``(dst, delay, cost, link_id)`` of the links leaving
         it, in link-id order."""
@@ -270,7 +282,9 @@ class ShortestTree:
     root->u paths.  ``pred`` is csgraph's predecessor array (negative at the
     root and where unreachable) and ``weights`` the per-link weights the tree
     was built on, ``inf`` on disabled links.  :meth:`path_from` derives the
-    tree's links from these.
+    tree's links from these.  A tree from :func:`build_reverse_tree` may be
+    the network's cached copy, shared with every later caller: read it, never
+    write to it.
     """
 
     root: int
@@ -350,9 +364,30 @@ def dijkstra(net: Network, root: int, weights: np.ndarray, *,
 def build_reverse_tree(net: Network, t: int, metric: str,
                        disabled: Optional[set[int]] = None,
                        deadline: Optional[Deadline] = None) -> ShortestTree:
-    """Destination-rooted shortest tree: dist[u] = min metric over u->t paths."""
-    return dijkstra(net, t, net.weights(metric), reverse=True,
+    """Destination-rooted shortest tree: dist[u] = min metric over u->t paths.
+
+    A tree on all links (no ``disabled``) is kept in ``net``'s cache of the
+    ``TREE_CACHE_SIZE`` most recently used ``(t, metric)`` trees and returned
+    shared, read-only, to later calls; a hit still checks ``deadline`` once.
+    Only trees whose Dijkstra ran to the end with the deadline unexpired are
+    kept, never the root-only tree of a passed deadline.  Masked trees are
+    built every time.
+    """
+    cache = net._trees
+    key = (t, metric)
+    tree = None if disabled else cache.get(key)
+    if tree is not None:
+        cache.move_to_end(key)
+        if deadline is not None:
+            deadline.expired("graph.dijkstra")
+        return tree
+    tree = dijkstra(net, t, net.weights(metric), reverse=True,
                     disabled=disabled, deadline=deadline)
+    if not disabled and (deadline is None or deadline.phase is None):
+        cache[key] = tree
+        if len(cache) > TREE_CACHE_SIZE:
+            cache.popitem(last=False)
+    return tree
 
 
 def build_forward_tree(net: Network, s: int, metric: str,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .graph import INF, Deadline, Network, Path, check_endpoints, dijkstra, \
     finish
-from .pulse import DrcrCase, DrcrQuery, classify_case, dst_trees
+from .pulse import DrcrCase, DrcrQuery, classify_case
 from .srlg import PathPair, SrlgDrcrQuery, backup_search
 
 
@@ -265,10 +265,9 @@ def lagrangian_ksp_drcr(net: Network, q: DrcrQuery,
     """
     stats = KspStats()
     deadline = Deadline(time_limit)
-    trees = dst_trees(net, q, deadline)  # checks the endpoints
+    case, ready = classify_case(net, q, deadline)  # checks the endpoints
     if deadline.phase is not None:
         return None, finish(stats, deadline, "timeout")
-    case, ready = classify_case(net, q, *trees)
     if case is DrcrCase.INFEASIBLE:
         return None, finish(stats, deadline, "infeasible")
     if ready is not None:
@@ -293,13 +292,20 @@ def lagrangian_ksp_drcr(net: Network, q: DrcrQuery,
 def srlg_ksp_drcr(net: Network, q: SrlgDrcrQuery, order: str = "cost",
                   time_limit: Optional[float] = None,
                   ) -> tuple[Optional[PathPair], KspStats]:
-    """Try actives in cost (or delay) order until one admits a backup."""
+    """Enumerate actives in cost (or delay) order; keep the cheapest that
+    admits a backup.
+
+    In cost order the first such active is the cheapest.  In delay order
+    the enumeration runs up to ``U``, and an active costing at least the
+    incumbent's is skipped without a backup search.
+    """
     if order not in ("cost", "delay"):
         raise ValueError(f"unknown enumeration order {order!r}")
     check_endpoints(net, q.src, q.dst)
     stats = KspStats()
     deadline = Deadline(time_limit)
     w = WeightFn.cost() if order == "cost" else WeightFn.delay()
+    best: Optional[PathPair] = None
     # A backup search that times out ends the enumeration at its next spur.
     for active in yen_ksp(net, q.src, q.dst, w, deadline):
         stats.iterations += 1
@@ -307,10 +313,14 @@ def srlg_ksp_drcr(net: Network, q: SrlgDrcrQuery, order: str = "cost",
             if order == "delay":
                 break
             continue
+        if best is not None and active.cost >= best.active.cost:
+            continue
         backup = backup_search(net, active, q.U, q.delta, deadline)
         if backup is not None:
-            return PathPair(active, backup), finish(stats, deadline, "optimal")
-    return None, finish(stats, deadline, "infeasible")
+            best = PathPair(active, backup)
+            if order == "cost":
+                break
+    return best, finish(stats, deadline, "optimal" if best else "infeasible")
 
 
 def srlg_lagrangian_ksp(net: Network, q: SrlgDrcrQuery,

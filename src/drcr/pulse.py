@@ -93,29 +93,27 @@ class SearchStats:
 
 def dst_trees(net: Network, q: DrcrQuery,
               deadline: Optional[Deadline] = None,
-              delay_tree: Optional[ShortestTree] = None,
-              cost_tree: Optional[ShortestTree] = None,
               ) -> tuple[ShortestTree, ShortestTree]:
     """Check ``q``'s endpoints; the delay and cost trees rooted at its
-    destination, built where not given."""
+    destination (shared with the network's tree cache)."""
     check_endpoints(net, q.src, q.dst)
-    if delay_tree is None:
-        delay_tree = build_reverse_tree(net, q.dst, "delay", deadline=deadline)
-    if cost_tree is None:
-        cost_tree = build_reverse_tree(net, q.dst, "cost", deadline=deadline)
-    return delay_tree, cost_tree
+    return (build_reverse_tree(net, q.dst, "delay", deadline=deadline),
+            build_reverse_tree(net, q.dst, "cost", deadline=deadline))
 
 
 def classify_case(net: Network, q: DrcrQuery,
-                  delay_tree: Optional[ShortestTree] = None,
-                  cost_tree: Optional[ShortestTree] = None,
+                  deadline: Optional[Deadline] = None,
                   ) -> tuple[DrcrCase, Optional[Path]]:
     """Map a query onto the six-way case split.
 
     Returns the min-cost path as the ready-made optimum for the two trivial
-    cases where it already satisfies the delay range.
+    cases where it already satisfies the delay range.  Once ``deadline``
+    has expired the trees may be cut short and the answer proves nothing;
+    it reads ``INFEASIBLE`` then.
     """
-    delay_tree, cost_tree = dst_trees(net, q, None, delay_tree, cost_tree)
+    delay_tree, cost_tree = dst_trees(net, q, deadline)
+    if deadline is not None and deadline.phase is not None:
+        return DrcrCase.INFEASIBLE, None
     d_min_delay = delay_tree.dist[q.src]
     if d_min_delay == INF or q.U < d_min_delay:
         return DrcrCase.INFEASIBLE, None
@@ -273,9 +271,10 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
 
 
 def _search(net: Network, q: DrcrQuery, opts: PulseOptions, deadline: Deadline,
-            delay_tree: ShortestTree, cost_tree: ShortestTree,
             ) -> tuple[Optional[Path], SearchStats]:
-    """The search phases of :func:`pulse_plus` on built trees."""
+    """The search phases of :func:`pulse_plus`, tree builds included."""
+    delay_tree, cost_tree = dst_trees(net, q, deadline)
+
     def search(**kwargs) -> tuple[Optional[Path], SearchStats]:
         return run_pulse_search(
             net, q.src, q.dst, q.L, q.U, delay_tree.dist, cost_tree.dist,
@@ -320,8 +319,7 @@ def pulse_plus(net: Network, q: DrcrQuery,
     """
     opts = opts or PulseOptions()
     deadline = Deadline(opts.time_limit)
-    trees = dst_trees(net, q, deadline)
-    path, stats = _search(net, q, opts, deadline, *trees)
+    path, stats = _search(net, q, opts, deadline)
     return path, finish(stats, deadline, stats.status)
 
 
@@ -334,15 +332,13 @@ def solve_drcr(net: Network, q: DrcrQuery,
     """
     opts = opts or PulseOptions()
     deadline = Deadline(opts.time_limit)
-    delay_tree, cost_tree = dst_trees(net, q, deadline)
+    case, ready = classify_case(net, q, deadline)
     path, stats = None, SearchStats()
     if deadline.phase is None:
-        case, ready = classify_case(net, q, delay_tree, cost_tree)
         if ready is not None:
             path, stats = ready, SearchStats(
                 status="optimal", searched_fraction=1.0,
                 best_cost_trace=[(0, ready.cost)])
         elif case is not DrcrCase.INFEASIBLE:
-            path, stats = _search(net, q, opts, deadline, delay_tree,
-                                  cost_tree)
+            path, stats = _search(net, q, opts, deadline)
     return path, finish(stats, deadline, stats.status)

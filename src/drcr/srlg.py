@@ -81,7 +81,7 @@ class PathPair:
 class CoseStats:
     status: str = "infeasible"
     subinstances: int = 0
-    iterations: int = 0
+    iterations: int = 0  # active, backup and conflict-set searches together
     elapsed_us: int = 0
     conflict_sets: list["ConflictSet"] = field(default_factory=list)
     timeout_phase: Optional[str] = None  # the layer that found the limit passed
@@ -99,12 +99,14 @@ def _links_of_srlgs(net: Network, srlg_ids) -> set[int]:
 
 
 def backup_search(net: Network, active: Path, U: int, delta: int,
-                  deadline: Optional[Deadline] = None) -> Optional[Path]:
+                  deadline: Optional[Deadline] = None,
+                  stats: Optional[CoseStats] = None) -> Optional[Path]:
     """First feasible Srlg-disjoint companion for ``active``, or None.
 
     Runs on the subgraph with every link of the active path's Srlgs removed,
     over the delay window ``[max(0, d_a - delta), min(U, d_a + delta)]``.
-    Cost is irrelevant here so the search stops at the first hit.
+    Cost is irrelevant here so the search stops at the first hit.  Its
+    iterations are added to ``stats``.
     """
     if active.delay > U:
         raise ValueError("active path already violates the delay bound")
@@ -115,9 +117,11 @@ def backup_search(net: Network, active: Path, U: int, delta: int,
     hi = min(U, active.delay + delta)
     delay_tree = build_reverse_tree(net, t, "delay", disabled=disabled,
                                     deadline=deadline)
-    path, _stats = run_pulse_search(
+    path, search = run_pulse_search(
         net, s, t, lo, hi, delay_tree.dist, [0] * net.num_nodes,
         first_feasible=True, deadline=deadline, disabled=disabled)
+    if stats is not None:
+        stats.iterations += search.iterations
     return path
 
 
@@ -279,7 +283,7 @@ def cose_pulse_plus(net: Network, q: SrlgDrcrQuery,
                                stats.conflict_sets, tmp_min, deadline, stats)
         if active is None or deadline.phase is not None:
             continue
-        backup = backup_search(net, active, q.U, q.delta, deadline)
+        backup = backup_search(net, active, q.U, q.delta, deadline, stats)
         if backup is not None:
             tmp_min = active.cost
             best = PathPair(active, backup)

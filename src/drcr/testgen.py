@@ -90,8 +90,9 @@ def gen_drcr_query(net: Network, seed: int, target_case: int,
                    delay_tree=None, cost_tree=None) -> DrcrQuery:
     """Rejection-sample a query classifying to the requested hard case.
 
-    ``dst`` plus precomputed trees let batch generation reuse one Dijkstra
-    pair per destination.
+    ``dst`` pins the destination; ``delay_tree``/``cost_tree``, if given,
+    must be its trees.  Repeated destinations reuse the network's cached
+    trees either way.
     """
     if target_case not in (4, 6):
         raise ValueError("target_case must be 4 or 6")
@@ -123,7 +124,7 @@ def gen_drcr_query(net: Network, seed: int, target_case: int,
             L = int(rng.integers(dmc + 1, dmc + gap))
             U = int(rng.integers(L, L + gap + 1))
         q = DrcrQuery(s, t, L, U)
-        case, _ = classify_case(net, q, dtree, ctree)
+        case, _ = classify_case(net, q)
         if case.value == target_case:
             return q
     raise GenerationError(f"no case-{target_case} query after "

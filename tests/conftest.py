@@ -50,6 +50,19 @@ def random_net(seed, n, p, max_srlgs=0, value_hi=10):
     return Network.build(n, links)
 
 
+def pair_instance(seed):
+    """Seeded small Srlg net and a ``0 -> n-1`` pair query for oracle
+    comparisons of the pair solvers."""
+    from drcr.srlg import SrlgDrcrQuery
+
+    rng = np.random.default_rng(seed + 300)
+    net = random_net(seed + 1200, int(rng.integers(4, 9)), 0.5,
+                     max_srlgs=int(rng.integers(1, 8)))
+    q = SrlgDrcrQuery(0, net.num_nodes - 1, int(rng.integers(4, 30)),
+                      int(rng.integers(0, 8)))
+    return net, q
+
+
 @st.composite
 def multigraphs(draw, num_srlgs=0):
     """Up to 7 nodes; each drawn node pair gets one or two parallel links."""

@@ -1,15 +1,18 @@
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import multigraphs
+import drcr.graph
+from conftest import multigraphs, random_net
 from drcr.graph import (
     INF,
     GraphFormatError,
     Link,
     Network,
     Path,
+    TREE_CACHE_SIZE,
     build_forward_tree,
     build_reverse_tree,
     dijkstra,
@@ -20,7 +23,8 @@ from drcr.graph import (
 )
 from drcr.ksp import WeightFn, cost_ksp_drcr, delay_ksp_drcr, \
     lagrangian_ksp_drcr, srlg_ksp_drcr, srlg_lagrangian_ksp
-from drcr.pulse import DrcrQuery, pulse_plus, solve_drcr
+from drcr.oracle import brute_drcr
+from drcr.pulse import DrcrQuery, PulseOptions, pulse_plus, solve_drcr
 from drcr.srlg import SrlgDrcrQuery, cose_pulse_plus
 
 
@@ -125,6 +129,74 @@ def test_dijkstra_matches_bellman_ford(data):
                     assert (p.nodes[0], p.nodes[-1]) == \
                         ((u, root) if reverse else (root, u))
                 assert getattr(p, metric) == tree.dist[u]
+
+
+def assert_same_tree(net, tree, fresh):
+    assert tree.dist == fresh.dist
+    for u in range(net.num_nodes):
+        assert tree.path_from(net, u) == fresh.path_from(net, u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cached_trees_match_fresh_dijkstra(data):
+    # a cache of 4 trees against up to 14 (root, metric) keys: calls that
+    # revisit a key hit or miss as least-recently-used order says
+    net = data.draw(multigraphs())
+    keys = st.tuples(st.integers(0, net.num_nodes - 1),
+                     st.sampled_from(["delay", "cost"]))
+    calls = data.draw(st.lists(keys, min_size=1, max_size=30))
+    order: list = []  # the keys the cache should hold, oldest first
+    with mock.patch.object(drcr.graph, "TREE_CACHE_SIZE", 4):
+        for root, metric in calls:
+            tree = build_reverse_tree(net, root, metric)
+            assert_same_tree(net, tree, dijkstra(
+                net, root, net.weights(metric), reverse=True))
+            if (root, metric) in order:
+                order.remove((root, metric))
+            order = (order + [(root, metric)])[-4:]
+            assert list(net._trees) == order
+
+
+def test_tree_cache_keeps_the_last_64_trees():
+    n = 40
+    net = weighted(n, [(u, (u + 1) % n, 1) for u in range(n)])
+    for root in range(n):
+        for metric in ("delay", "cost"):
+            build_reverse_tree(net, root, metric)
+            assert len(net._trees) <= TREE_CACHE_SIZE
+    assert TREE_CACHE_SIZE == 64
+    assert list(net._trees) == [(root, metric) for root in range(8, n)
+                                for metric in ("delay", "cost")]
+    kept = net._trees[(n - 1, "cost")]
+    assert build_reverse_tree(net, n - 1, "cost") is kept
+
+
+def test_masked_trees_bypass_the_cache():
+    net = weighted(3, [(0, 2, 1), (0, 1, 1), (1, 2, 1)])
+    masked = build_reverse_tree(net, 2, "delay", disabled={0})
+    assert masked.dist[0] == 2 and not net._trees  # not filled
+    full = build_reverse_tree(net, 2, "delay")
+    assert full.dist[0] == 1 and list(net._trees) == [(2, "delay")]
+    masked = build_reverse_tree(net, 2, "delay", disabled={0})
+    assert masked.dist[0] == 2  # not read
+    assert net._trees[(2, "delay")] is full and full.dist[0] == 1
+
+
+def test_expired_deadline_trees_are_not_cached():
+    net = random_net(5, 12, 0.4)
+    query = DrcrQuery(0, 11, 12, 20)
+    expect = brute_drcr(net, query)
+    for solve in (solve_drcr, pulse_plus):
+        path, stats = solve(net, query, PulseOptions(time_limit=0.0))
+        assert path is None and stats.status == "timeout"
+        assert stats.timeout_phase == "graph.dijkstra"
+        assert not net._trees  # the root-only trees were dropped
+    for solve in (solve_drcr, pulse_plus):
+        path, stats = solve(net, query)
+        assert expect is not None and path.cost == expect[0]
+        assert stats.status == "optimal"
+    assert sorted(net._trees) == [(11, "cost"), (11, "delay")]
 
 
 def test_lagrangian_rounding_below_zero_is_silent():

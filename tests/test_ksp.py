@@ -3,7 +3,7 @@ import pytest
 
 import drcr.ksp
 import drcr.pulse
-from conftest import random_net
+from conftest import pair_instance, random_net
 from drcr.graph import Deadline, load_network
 from drcr.ksp import (
     WeightFn,
@@ -254,6 +254,20 @@ class TestSrlgKsp:
             pair, stats = fn()
             assert pair is None and stats.status == "timeout"
             assert stats.timeout_phase == "graph.dijkstra"
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_delay_order_finds_the_cheapest_pair(self, seed):
+        # the first active in delay order that admits a backup need not be
+        # the cheapest such active (seed 7: cost 19 against 7)
+        net, query = pair_instance(seed)
+        expect = brute_srlg_drcr(net, query)
+        pair, stats = srlg_ksp_drcr(net, query, "delay")
+        if expect is None:
+            assert pair is None and stats.status == "infeasible", seed
+        else:
+            assert stats.status == "optimal", seed
+            assert pair is not None and pair.active.cost == expect[0], seed
+            assert pair.is_valid(net, query.U, query.delta)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_agrees_with_pair_oracle(self, seed):

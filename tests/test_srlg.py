@@ -1,7 +1,7 @@
-import numpy as np
 import pytest
 
-from conftest import random_net
+import drcr.srlg
+from conftest import pair_instance
 from drcr.graph import Link, Network, Path, load_network, srlgs_of_path
 from drcr.oracle import brute_srlg_drcr, verify_conflict_set
 from drcr.srlg import (
@@ -152,12 +152,7 @@ class TestCose:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_pair_oracle(self, seed):
-        rng = np.random.default_rng(seed + 300)
-        net = random_net(seed + 1200, int(rng.integers(4, 9)), 0.5,
-                         max_srlgs=int(rng.integers(1, 8)))
-        s, t = 0, net.num_nodes - 1
-        q = SrlgDrcrQuery(s, t, int(rng.integers(4, 30)),
-                          int(rng.integers(0, 8)))
+        net, q = pair_instance(seed)
         expect = brute_srlg_drcr(net, q)
         pair, stats = cose_pulse_plus(net, q)
         if expect is None:
@@ -200,6 +195,31 @@ class TestForcedLinks:
         assert pair is None and stats.status == "infeasible"
         assert stats.subinstances == 194 and not stats.conflict_sets
         assert stats.iterations <= 2000
+
+
+class TestIterationCount:
+    @pytest.mark.parametrize("pick", ["largest", "first-link"])
+    def test_counts_every_search(self, g3a, g3b, pick, monkeypatch):
+        # active, backup and conflict-set searches all run through
+        # drcr.srlg.run_pulse_search; CoseStats.iterations is their sum
+        searched = []
+        real = drcr.srlg.run_pulse_search
+
+        def counted(*args, **kwargs):
+            path, stats = real(*args, **kwargs)
+            searched.append(stats.iterations)
+            return path, stats
+
+        monkeypatch.setattr(drcr.srlg, "run_pulse_search", counted)
+        cases = [(ladder_net(7), SrlgDrcrQuery(0, 1, 40, 1)),
+                 (g3a, SrlgDrcrQuery(0, g3a.node_id("t"), 10, 10)),
+                 (g3b, SrlgDrcrQuery(g3b.node_id("A"), g3b.node_id("F"),
+                                     10, 4))]
+        cases += [pair_instance(seed) for seed in range(10)]
+        for net, q in cases:
+            searched.clear()
+            _, stats = cose_pulse_plus(net, q, pick=pick)
+            assert stats.iterations == sum(searched), q
 
 
 class TestPathPair:
