@@ -132,17 +132,24 @@ def classify_case(net: Network, q: DrcrQuery,
     return DrcrCase.NON_TRIVIAL_4, None
 
 
+def ldf_key(delay_dist: list[float]) -> Callable[[tuple], float]:
+    """The largest-delay-first key of an egress row:
+    ``w(e) = d(e) + d_min_delay(To(e) -> t)``."""
+    return lambda row: row[1] + delay_dist[row[0]]
+
+
 def ldf_sorted(rows: list[tuple[int, int, int, int]],
-               delay_dist: list[float]) -> list[tuple[int, int, int, int]]:
+               delay_dist: list[float],
+               ) -> tuple[tuple[int, int, int, int], ...]:
     """``rows`` of ``Network.egress`` (link-id order) sorted stably on
-    ``w(e) = d(e) + d_min_delay(To(e) -> t)``: ties stay in link-id order
-    and unreachable heads go last; pushed in this order onto a LIFO stack,
-    the largest-delay branch pops first."""
-    return sorted(rows, key=lambda row: row[1] + delay_dist[row[0]])
+    :func:`ldf_key`: ties stay in link-id order and unreachable heads go
+    last; pushed in this order onto a LIFO stack, the largest-delay branch
+    pops first."""
+    return tuple(sorted(rows, key=ldf_key(delay_dist)))
 
 
 def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
-                     delay_dist: list[float], cost_dist: list[float],
+                     delay_tree: ShortestTree, cost_dist: list[float],
                      *,
                      ldf: bool = True,
                      tmp_min: float = INF,
@@ -169,9 +176,20 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
     below the shallowest newly disabled link of the rejected path are then
     dropped.  A search that pops ``max_iterations`` entries without
     finishing stops with status ``"budget"`` and returns its incumbent.
-    A node's out-links are read from ``net.egress`` when the search first
-    expands it; with ``ldf`` they are then sorted by :func:`ldf_sorted` and
-    kept for the rest of the call.
+
+    ``delay_tree`` is the min-delay tree towards ``t`` over the links the
+    search may take.  Without ``ldf`` a node's out-links are taken from
+    ``net.egress`` in link-id order.  With ``ldf`` they are sorted by
+    :func:`ldf_sorted` the first time any search on ``delay_tree`` expands
+    the node, and kept in the tree's ``egress_order`` memo.  The children
+    whose ``w(e)`` exceeds ``U`` less the node's delay then sit at the end
+    of that order, where a bisection on :func:`ldf_key` finds them: pushed
+    last, they would pop next, one after another, and each fail the delay
+    cut.  Unless a budget or deadline check (every 1024th iteration) would
+    fall among those pops, they are settled at expansion instead: each
+    counts as one iteration and adds its share of ``searched_fraction`` in
+    turn, so the counts, the status and the trace are those of pushing
+    them.
     """
     best: Optional[list[int]] = None
     searched = 0.0
@@ -187,7 +205,10 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
     # entry: (node, delay, cost, depth, link_id, s3)
     stack = [(s, 0, 0, 0, -1, 1.0)]
     egress = net.egress
-    rows = [None] * n if ldf else egress  # ldf: sorted on first expansion
+    delay_dist = delay_tree.dist
+    if ldf:
+        ldf_rows = delay_tree.egress_order
+        w = ldf_key(delay_dist)
     pop = stack.pop
     push = stack.append
     if cf is not None:
@@ -231,6 +252,8 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
                         while stack and stack[-1][3] > cut:
                             pop()
             continue
+        # the root, children under link order and, under ldf, only a tail
+        # pushed because a budget or deadline check falls inside it
         if dly + delay_dist[node] > U:
             searched += s3
             continue
@@ -251,18 +274,40 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
         on_path[node] = True
         path_nodes[depth] = node
         top = depth
-        kids = rows[node]
-        if kids is None:
-            kids = rows[node] = ldf_sorted(egress[node], delay_dist)
-        kids = [e for e in kids if not on_path[e[0]]]
+        if ldf:
+            rows = ldf_rows[node]
+            if rows is None:
+                rows = ldf_rows[node] = ldf_sorted(egress[node], delay_dist)
+            split = bisect_right(rows, U - dly, key=w)
+            kids = [e for e in rows[:split] if not on_path[e[0]]]
+            tail = [e for e in rows[split:] if not on_path[e[0]]]
+            if disabled:
+                tail = [e for e in tail if e[3] not in disabled]
+        else:
+            kids = [e for e in egress[node] if not on_path[e[0]]]
+            tail = ()
         if disabled:
             kids = [e for e in kids if e[3] not in disabled]
-        k = len(kids)
+        k = len(kids) + len(tail)
         if k == 0:
             searched += s3
             continue
         child_s3 = s3 / k
         depth += 1
+        if tail:
+            # The tail would pop next, child by child, and fail the delay
+            # cut: take its pops here, adding each child's share in turn.
+            # Where a budget or deadline check falls among them, push them
+            # and let the loop pop them.
+            m = len(tail)
+            if iterations + m <= max_iterations and (
+                    deadline is None
+                    or (iterations - 1) >> 10 == (iterations + m - 1) >> 10):
+                iterations += m
+                for _ in tail:
+                    searched += child_s3
+            else:
+                kids += tail
         for to, d_e, c_e, elid in kids:
             push((to, dly + d_e, cst + c_e, depth, elid, child_s3))
     status = stopped or ("infeasible" if best is None else "optimal")
@@ -277,7 +322,7 @@ def _search(net: Network, q: DrcrQuery, opts: PulseOptions, deadline: Deadline,
 
     def search(**kwargs) -> tuple[Optional[Path], SearchStats]:
         return run_pulse_search(
-            net, q.src, q.dst, q.L, q.U, delay_tree.dist, cost_tree.dist,
+            net, q.src, q.dst, q.L, q.U, delay_tree, cost_tree.dist,
             ldf=opts.ldf, deadline=deadline, **kwargs)
 
     path, stats = search(max_iterations=PLAIN_BUDGET if opts.joint_pruning

@@ -118,7 +118,7 @@ def backup_search(net: Network, active: Path, U: int, delta: int,
     delay_tree = build_reverse_tree(net, t, "delay", disabled=disabled,
                                     deadline=deadline)
     path, search = run_pulse_search(
-        net, s, t, lo, hi, delay_tree.dist, [0] * net.num_nodes,
+        net, s, t, lo, hi, delay_tree, [0] * net.num_nodes,
         first_feasible=True, deadline=deadline, disabled=disabled)
     if stats is not None:
         stats.iterations += search.iterations
@@ -159,7 +159,7 @@ def find_conflict_set(net: Network, active: Path, U: int,
         return False
 
     companion, search = run_pulse_search(
-        net, s, t, 0, U, delay_tree.dist, [0] * net.num_nodes,
+        net, s, t, 0, U, delay_tree, [0] * net.num_nodes,
         first_feasible=True, deadline=deadline, accept=disjoint,
         disabled=disabled)
     if stats is not None:
@@ -239,7 +239,7 @@ def ap_pulse_plus(net: Network, src: int, dst: int, U: int,
             and not any(omega & m == m for m in conflict_masks)
 
     path, search = run_pulse_search(
-        net, src, dst, 0, U, delay_tree.dist, cost_tree.dist,
+        net, src, dst, 0, U, delay_tree, cost_tree.dist,
         tmp_min=tmp_min, deadline=deadline, accept=allowed,
         link_masks=link_masks, conflict_masks=conflict_masks,
         disabled=disabled)

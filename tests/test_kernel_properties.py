@@ -6,6 +6,7 @@ with zero delay or cost, parallel links, ``L = 0``, ``U`` equal to the delay
 of some path, and ``delta = 0``.
 """
 
+import sys
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from drcr.costfn import compute_cost_functions, eval_cost_function
 from drcr.graph import (
     INF,
     build_forward_tree,
+    build_reverse_tree,
     is_elementary,
     load_network,
     srlgs_of_path,
@@ -28,7 +30,7 @@ from drcr.oracle import (
     enumerate_elementary_paths,
     verify_conflict_set,
 )
-from drcr.pulse import DrcrQuery, PulseOptions, solve_drcr
+from drcr.pulse import DrcrQuery, PulseOptions, run_pulse_search, solve_drcr
 from drcr.srlg import (
     ConflictSet,
     SrlgDrcrQuery,
@@ -80,6 +82,34 @@ def test_solve_drcr_matches_oracle(data):
             assert p is None and stats.status == "infeasible"
         else:
             assert stats.status == "optimal" and p.cost == expect[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_budgets_stop_the_search_where_it_stands(data):
+    # Every budget up to the full count plus one stops the same walk after
+    # that many pops, whether its delay cuts are taken at pop time or
+    # settled at expansion.
+    net = data.draw(multigraphs())
+    t = net.num_nodes - 1
+    U = data.draw(upper_bounds(net))
+    L = data.draw(st.one_of(st.just(0), st.integers(0, U)))
+    delay_tree = build_reverse_tree(net, t, "delay")
+    cost_dist = build_reverse_tree(net, t, "cost").dist
+    for ldf in (True, False):
+        def search(budget=sys.maxsize):
+            return run_pulse_search(net, 0, t, L, U, delay_tree, cost_dist,
+                                    ldf=ldf, max_iterations=budget)[1]
+
+        full = search()
+        assert full.status in ("optimal", "infeasible")
+        assert abs(full.searched_fraction - 1.0) <= 1e-9
+        for budget in range(full.iterations + 2):
+            stats = search(budget)
+            assert stats.iterations == min(budget, full.iterations)
+            assert (stats.status == "budget") == (budget < full.iterations)
+            assert stats.best_cost_trace == [
+                (i, c) for i, c in full.best_cost_trace if i <= budget]
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 
 import drcr.pulse
-from conftest import random_net
-from drcr.graph import INF, build_reverse_tree, is_elementary, load_network
+from conftest import G3B_TEXT, random_net
+from drcr.graph import (
+    INF,
+    Deadline,
+    Link,
+    Network,
+    build_reverse_tree,
+    is_elementary,
+    load_network,
+)
 from drcr.oracle import brute_drcr
 from drcr.pulse import (
     DrcrCase,
@@ -15,8 +23,10 @@ from drcr.pulse import (
     classify_case,
     ldf_sorted,
     pulse_plus,
+    run_pulse_search,
     solve_drcr,
 )
+from drcr.srlg import SubInstance, ap_pulse_plus, backup_search
 from drcr.testgen import GenConfig, gen_drcr_query, gen_er_network
 
 
@@ -216,6 +226,133 @@ class TestLdfOrder:
     def test_unreachable_head_placed_last(self):
         net = load_network("0,s,x,1,1,\n1,s,a,1,1,\n2,a,t,1,1,\n")
         assert ldf_links(net, "s", "t") == [1, 0]
+
+
+def fan_net(width=1500):
+    """``s`` (node 0) with ``width`` parallel links to ``x`` (node 2), which
+    has no out-link, and one link to ``t`` (node 1), all of delay 1.
+
+    LDF sorts ``s -> t`` first and the fan last, so expanding ``s`` leaves
+    one delay-cut tail of ``width`` children: with a full search the pops
+    run 1 (``s``), 2-1501 (the fan) and 1502 (``t``), across a small budget
+    and the 1024-pop deadline stride.
+    """
+    links = [Link(i, 0, 2, 1, 1) for i in range(width)]
+    links.append(Link(width, 0, 1, 1, 1))
+    return Network.build(3, links)
+
+
+def fan_search(**kwargs):
+    net = fan_net()
+    path, stats = run_pulse_search(
+        net, 0, 1, 0, 5, build_reverse_tree(net, 1, "delay"),
+        build_reverse_tree(net, 1, "cost").dist, **kwargs)
+    return (stats.status, stats.iterations, stats.searched_fraction,
+            stats.best_cost_trace, path and path.links)
+
+
+FAN_DONE = 1.0000000000000242  # 1501 shares of 1/1501, one at a time
+
+
+class TestSettledTail:
+    """The delay-cut tail settled at expansion counts exactly as the pops
+    of a pushed tail did (figures recorded with a kernel that pushes every
+    child)."""
+
+    def test_full_search(self):
+        assert fan_search() == ("optimal", 1502, FAN_DONE, [(1502, 1)],
+                                (1500,))
+        # link order pushes the fan first: t pops second, the fan after it
+        assert fan_search(ldf=False) == ("optimal", 1502, FAN_DONE,
+                                         [(2, 1)], (1500,))
+
+    @pytest.mark.parametrize("budget, fraction", [
+        (700, 0.46568954030645854),
+        (1024, 0.6815456362425109),
+        (1025, 0.682211858760832),
+        (1100, 0.7321785476349189),
+        (1501, 0.9993337774817032),
+    ])
+    def test_budget_inside_the_tail(self, budget, fraction):
+        got = fan_search(max_iterations=budget)
+        assert got == ("budget", budget, fraction, [], None)
+        # an unexpired deadline is checked at pop 1025 on the way
+        got = fan_search(max_iterations=budget, deadline=Deadline(3600.0))
+        assert got == ("budget", budget, fraction, [], None)
+
+    def test_budget_past_the_tail(self):
+        assert fan_search(max_iterations=1502) == fan_search()
+
+    def test_limit_passing_inside_the_tail(self, limit_passes_in):
+        # the clock jumps while s is expanded, after the check at pop 1
+        limit_passes_in(drcr.pulse, "ldf_sorted")
+        p, stats = pulse_plus(fan_net(), DrcrQuery(0, 1, 0, 5),
+                              PulseOptions(time_limit=1.0))
+        assert p is None and stats.status == "timeout"
+        assert stats.timeout_phase == "pulse.search"
+        assert (stats.iterations, stats.searched_fraction) == \
+            (1025, 0.6815456362425109)
+        # a budget that falls first stops the search before pop 1025
+        got = fan_search(max_iterations=700, deadline=Deadline(1.0))
+        assert got == ("budget", 700, 0.46568954030645854, [], None)
+        deadline = Deadline(1.0)
+        got = fan_search(max_iterations=1100, deadline=deadline)
+        assert got == ("infeasible", 1025, 0.6815456362425109, [], None)
+        assert deadline.phase == "pulse.search"
+
+
+def search_figures(path, stats):
+    return (stats.status, path and path.links, stats.iterations,
+            stats.searched_fraction, stats.best_cost_trace)
+
+
+class TestEgressOrderMemo:
+    def test_solve_order_does_not_matter(self, monkeypatch):
+        def net():
+            return gen_er_network(GenConfig(n=300, p_mult=3, seed=31))
+
+        first = gen_drcr_query(net(), 503, 6)
+        other = gen_drcr_query(net(), 501, 4).src
+        second = DrcrQuery(other, first.dst, first.L, first.U)
+        fresh = [search_figures(*pulse_plus(net(), q))
+                 for q in (first, second)]
+        assert first.src != other and fresh[0] != fresh[1]
+        for queries in ((first, second), (second, first)):
+            shared = net()
+            got = [search_figures(*pulse_plus(shared, q)) for q in queries]
+            if queries[0] is second:
+                got.reverse()
+            assert got == fresh
+        # a repeated destination sorts each node once
+        sorts = []
+        real = drcr.pulse.ldf_sorted
+
+        def counted(*args):
+            sorts.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(drcr.pulse, "ldf_sorted", counted)
+        assert search_figures(*pulse_plus(shared, first)) == fresh[0]
+        assert sorts == []
+
+    def test_masked_trees_keep_their_own_memo(self):
+        net = load_network(G3B_TEXT)
+        src, dst = net.node_id("A"), net.node_id("F")
+        cached = build_reverse_tree(net, dst, "delay")
+        rows = cached.egress_order
+        # a masked sub-instance search and a masked backup search
+        exclude = SubInstance(frozenset(), frozenset({0}))
+        active = ap_pulse_plus(net, src, dst, 10, exclude, [])
+        assert active is not None and active.cost == 11
+        assert backup_search(net, active, 10, 1) is not None
+        assert rows == [None] * net.num_nodes  # never filled
+        masked = build_reverse_tree(net, dst, "delay", disabled={0})
+        assert masked.egress_order == [None] * net.num_nodes
+        pulse_plus(net, DrcrQuery(src, dst, 0, 10))
+        assert rows[src] == ldf_sorted(net.egress[src], cached.dist)
+        assert build_reverse_tree(net, dst, "delay") is cached
+        masked = build_reverse_tree(net, dst, "delay", disabled={0})
+        assert masked.egress_order == [None] * net.num_nodes
 
 
 class TestAgainstOracle:
