@@ -20,7 +20,7 @@ from .pulse import (
     pulse_plus,
     solve_drcr,
 )
-from .costfn import CostFunction, compute_cost_functions, eval_cost_function
+from .costfn import CostFunction, compute_cost_functions
 from .ksp import (
     KspStats,
     LambdaResult,

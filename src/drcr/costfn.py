@@ -12,7 +12,6 @@ plain min-cost-tree optimality cut.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,12 +79,3 @@ def compute_cost_functions(net: Network, s: int, t: int, U: int,
         delays[u].reverse()
         costs[u].reverse()
     return CostFunction(delays, costs)
-
-
-def eval_cost_function(cf: CostFunction, u: int, budget: float) -> float:
-    """Min cost over kept pairs with delay <= budget; INF if none qualify."""
-    darr = cf.delays[u]
-    idx = bisect_right(darr, budget)
-    if idx == 0:
-        return INF
-    return cf.costs[u][idx - 1]

@@ -10,9 +10,10 @@ Graph files are UTF-8 edge lists, one link per line::
 
     link_id,src,dst,cost,delay,srlg_ids
 
-where ``srlg_ids`` is a ``;``-separated (possibly empty) list of integers.
-Lines starting with ``#`` are comments.  Node names may be arbitrary strings
-and are densified to ``0..n-1`` in order of first appearance.
+where ``srlg_ids`` is a ``;``-separated (possibly empty) list of
+non-negative integers below 2^63.  Lines starting with ``#`` are comments.
+Node names may be any strings without a ``,`` or a line break and are
+densified to ``0..n-1`` in order of first appearance.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from __future__ import annotations
 import time
 import warnings
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress
 from typing import Iterable, Optional
 
 import numpy as np
@@ -81,6 +84,8 @@ def finish(stats, deadline: Deadline, status: str):
 
 @dataclass(frozen=True)
 class Link:
+    """One link's record, built on demand by :attr:`Network.links`."""
+
     id: int
     src: int
     dst: int
@@ -95,60 +100,122 @@ class Srlg:
     links: frozenset[int]
 
 
-@dataclass
+def _total(column: np.ndarray) -> int:
+    """Exact sum of a non-negative int64 column: each half-word sum fits."""
+    return (int((column >> 32).sum()) << 32) + int((column & 0xFFFFFFFF).sum())
+
+
+def _name_problem(names: list[str]) -> Optional[str]:
+    """Why ``names`` would not survive :func:`dump_network` and a reload:
+    a ``,`` or a line break splits a line, a repeat merges two nodes."""
+    seen: set[str] = set()
+    for name in names:
+        if "," in name or "".join(name.splitlines()) != name:
+            return f"node name {name!r} holds a comma or a line break"
+        if name in seen:
+            return f"node name {name!r} appears twice"
+        seen.add(name)
+    return None
+
+
+@dataclass(eq=False)
 class Network:
     """Immutable-after-construction directed multigraph.
 
-    ``links`` is the link table, indexed by link id.  ``egress[u]`` and
-    ``ingress[u]`` are the only adjacency the solvers walk: rows of the links
-    leaving and entering ``u``, built from ``links`` on first use.  Dijkstra
-    reads the same links as a CSR matrix per direction (:meth:`matrix`).
-    ``srlgs`` maps Srlg id to the set of member links; membership is stored
-    per-link and the table here is the inverted index.  The network also
-    caches the ``TREE_CACHE_SIZE`` destination trees on all its links that
-    it used last (:func:`build_reverse_tree`), about 160 KB each at 4000
-    nodes, plus the largest-delay-first order the searches kept on each
-    delay tree (:attr:`ShortestTree.egress_order`): up to about 1 MB per
-    destination at 4000 nodes and 99,351 links.
+    The link table is ``table``, one int64 row each for ``src``, ``dst``,
+    ``delay`` and ``cost`` (also attributes of their own), indexed by link
+    id; ``link_srlgs`` maps the id of each link that has Srlgs to them.  No
+    Python object is kept per link: :attr:`links` builds :class:`Link`
+    records on demand.  ``egress[u]`` and ``ingress[u]`` are the only
+    adjacency the solvers walk: rows of the links leaving and entering
+    ``u``, built from the columns on first use.  Dijkstra reads the same
+    links as a CSR matrix per direction (:meth:`matrix`).  ``srlgs`` maps
+    Srlg id to the set of member links, the inverted ``link_srlgs``.  The
+    network also caches the ``TREE_CACHE_SIZE`` destination trees on all
+    its links that it used last (:func:`build_reverse_tree`), about 160 KB
+    each at 4000 nodes, plus the largest-delay-first order the searches
+    kept on each delay tree (:attr:`ShortestTree.egress_order`): up to
+    about 1 MB per destination at 4000 nodes and 99,351 links.
     """
 
     num_nodes: int
     node_names: list[str]
-    links: list[Link]
+    table: np.ndarray
+    link_srlgs: dict[int, frozenset[int]]
     srlgs: dict[int, Srlg]
 
+    def __post_init__(self):
+        self.src, self.dst, self.delay, self.cost = self.table
+
     @classmethod
-    def build(cls, num_nodes: int, links: Iterable[Link],
+    def build(cls, num_nodes: int, src, dst, delay, cost,
+              link_srlgs: Optional[dict[int, Iterable[int]]] = None,
               node_names: Optional[list[str]] = None) -> "Network":
-        links = list(links)
+        """Check the link columns and names once and wrap them.
+
+        ``src``, ``dst``, ``delay`` and ``cost`` are equal-length integer
+        sequences indexed by link id; ``link_srlgs`` maps link ids to their
+        Srlg ids.  Ends must be nodes, links no self-loops, values and Srlg
+        ids non-negative, the delay and cost totals below 2^53, and node
+        names free of ``,``, line breaks and repeats.
+        """
+        if not len(src) == len(dst) == len(delay) == len(cost):
+            raise GraphFormatError("link columns differ in length")
+        try:
+            table = np.array([src, dst, delay, cost], np.int64)
+        except OverflowError:
+            raise GraphFormatError("link values must fit in 64 bits") from None
+        table.flags.writeable = False
+        src, dst, delay, cost = table
         if node_names is None:
             node_names = [str(i) for i in range(num_nodes)]
-        total_delay = 0
-        total_cost = 0
-        for idx, link in enumerate(links):
-            if link.id != idx:
-                raise GraphFormatError(
-                    f"link ids must be dense and ordered; got {link.id} at {idx}")
-            if not (0 <= link.src < num_nodes and 0 <= link.dst < num_nodes):
-                raise GraphFormatError(f"link {link.id}: endpoint out of range")
-            if link.src == link.dst:
-                raise GraphFormatError(
-                    f"link {link.id}: self-loop {link.src}->{link.dst} rejected")
-            if link.delay < 0 or link.cost < 0:
-                raise GraphFormatError(f"link {link.id}: negative delay or cost")
-            total_delay += link.delay
-            total_cost += link.cost
-        if total_delay >= _SUM_LIMIT or total_cost >= _SUM_LIMIT:
+        if len(node_names) != num_nodes:
+            raise GraphFormatError(
+                f"{len(node_names)} node names for {num_nodes} nodes")
+        problem = _name_problem(node_names)
+        if problem:
+            raise GraphFormatError(problem)
+        bad = np.flatnonzero((src < 0) | (src >= num_nodes)
+                             | (dst < 0) | (dst >= num_nodes))
+        if bad.size:
+            raise GraphFormatError(f"link {bad[0]}: endpoint out of range")
+        bad = np.flatnonzero(src == dst)
+        if bad.size:
+            raise GraphFormatError(
+                f"link {bad[0]}: self-loop {src[bad[0]]}->{dst[bad[0]]} rejected")
+        bad = np.flatnonzero((delay < 0) | (cost < 0))
+        if bad.size:
+            raise GraphFormatError(f"link {bad[0]}: negative delay or cost")
+        if _total(delay) >= _SUM_LIMIT or _total(cost) >= _SUM_LIMIT:
             raise GraphFormatError(
                 "delay/cost totals must stay below 2^53 to stay exact")
-        srlg_members: dict[int, set[int]] = {}
-        for link in links:
-            for r in link.srlgs:
-                if r < 0:
-                    raise GraphFormatError(f"link {link.id}: negative Srlg id")
-                srlg_members.setdefault(r, set()).add(link.id)
-        srlgs = {r: Srlg(r, frozenset(m)) for r, m in sorted(srlg_members.items())}
-        return cls(num_nodes, node_names, links, srlgs)
+        by_link = {lid: kept for lid, groups in (link_srlgs or {}).items()
+                   if (kept := frozenset(groups))}
+        lids = np.fromiter(by_link, np.int64, len(by_link))
+        if lids.size and (lids.min() < 0 or lids.max() >= len(src)):
+            raise GraphFormatError("Srlgs given for a link that is not there")
+        sizes = np.fromiter(map(len, by_link.values()), np.int64, len(lids))
+        try:
+            ids = np.fromiter(chain.from_iterable(by_link.values()), np.int64,
+                              int(sizes.sum()))
+        except OverflowError:
+            raise GraphFormatError("Srlg ids must fit in 64 bits") from None
+        if ids.size and ids.min() < 0:
+            lid = next(lid for lid, groups in by_link.items() if min(groups) < 0)
+            raise GraphFormatError(f"link {lid}: negative Srlg id")
+        # the inverted index: member links grouped by ascending Srlg id
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        members = np.repeat(lids, sizes)[order].tolist()
+        starts = np.flatnonzero(np.diff(ids, prepend=-1)).tolist()
+        srlgs = {r: Srlg(r, frozenset(members[a:b])) for r, a, b
+                 in zip(ids[starts].tolist(), starts, starts[1:] + [len(ids)])}
+        return cls(num_nodes, node_names, table, by_link, srlgs)
+
+    @property
+    def links(self) -> "LinkView":
+        """The link table as a read-only sequence of :class:`Link` records."""
+        return LinkView(self)
 
     @cached_property
     def _node_ids(self) -> dict[str, int]:
@@ -163,8 +230,8 @@ class Network:
 
     @cached_property
     def _weights(self) -> dict[str, np.ndarray]:
-        return {"delay": np.array([link.delay for link in self.links], float),
-                "cost": np.array([link.cost for link in self.links], float)}
+        return {"delay": self.delay.astype(float),
+                "cost": self.cost.astype(float)}
 
     def weights(self, metric: str) -> np.ndarray:
         """Per-link ``"delay"`` or ``"cost"`` values as float64, indexed by
@@ -186,14 +253,12 @@ class Network:
         cached = self._matrices.get(reverse)
         if cached is None:
             n = self.num_nodes
-            tails = np.array([link.src for link in self.links], np.int32)
-            heads = np.array([link.dst for link in self.links], np.int32)
-            rows, cols = (heads, tails) if reverse else (tails, heads)
+            rows, cols = (self.dst, self.src) if reverse else (self.src, self.dst)
             perm = np.argsort(rows, kind="stable")
             indptr = np.zeros(n + 1, np.int32)
             indptr[1:] = np.cumsum(np.bincount(rows, minlength=n))
-            mat = csr_matrix((np.zeros(len(perm)), cols[perm], indptr),
-                             shape=(n, n))
+            mat = csr_matrix((np.zeros(len(perm)), cols[perm].astype(np.int32),
+                              indptr), shape=(n, n))
             cached = self._matrices[reverse] = (mat, perm)
         return cached
 
@@ -201,23 +266,51 @@ class Network:
     def _trees(self) -> OrderedDict[tuple[int, str], "ShortestTree"]:
         return OrderedDict()
 
+    def _rows(self, at: np.ndarray, other: np.ndarray,
+              ) -> list[list[tuple[int, int, int, int]]]:
+        """Rows ``(other, delay, cost, link_id)`` grouped by ``at``, each
+        group in link-id order; Python ints throughout."""
+        order = np.argsort(at, kind="stable")
+        # memoryviews yield Python ints, and unlike lists of them they hold
+        # nothing the collector walks while it sorts out the new tuples
+        columns = (memoryview(column) for column in
+                   (other[order], self.delay[order], self.cost[order], order))
+        ends = np.cumsum(np.bincount(at, minlength=self.num_nodes)).tolist()
+        flat = list(zip(*columns))
+        return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
     @cached_property
     def egress(self) -> list[list[tuple[int, int, int, int]]]:
         """Per-node rows ``(dst, delay, cost, link_id)`` of the links leaving
         it, in link-id order."""
-        rows = [[] for _ in range(self.num_nodes)]
-        for link in self.links:
-            rows[link.src].append((link.dst, link.delay, link.cost, link.id))
-        return rows
+        return self._rows(self.src, self.dst)
 
     @cached_property
     def ingress(self) -> list[list[tuple[int, int, int, int]]]:
         """Per-node rows ``(src, delay, cost, link_id)`` of the links entering
         it, in link-id order."""
-        rows = [[] for _ in range(self.num_nodes)]
-        for link in self.links:
-            rows[link.dst].append((link.src, link.delay, link.cost, link.id))
-        return rows
+        return self._rows(self.dst, self.src)
+
+
+class LinkView(Sequence):
+    """Read-only view of a network's link table: ``view[i]`` builds link
+    ``i``'s :class:`Link` record afresh, and ``len`` is the link count."""
+
+    __slots__ = ("_net",)
+
+    def __init__(self, net: Network):
+        self._net = net
+
+    def __len__(self) -> int:
+        return self._net.table.shape[1]
+
+    def __getitem__(self, lid: int) -> Link:
+        if not -len(self) <= lid < len(self):
+            raise IndexError(f"link id {lid} out of range")
+        lid %= len(self)
+        src, dst, delay, cost = self._net.table[:, lid].tolist()
+        return Link(lid, src, dst, delay, cost,
+                    self._net.link_srlgs.get(lid, frozenset()))
 
 
 def check_endpoints(net: Network, src: int, dst: int) -> None:
@@ -239,24 +332,15 @@ class Path:
     @classmethod
     def from_links(cls, net: Network, link_ids: Iterable[int]) -> "Path":
         link_ids = tuple(link_ids)
-        delay = 0
-        cost = 0
-        nodes: list[int] = []
-        prev_dst: Optional[int] = None
-        for lid in link_ids:
-            if not 0 <= lid < len(net.links):
-                raise GraphFormatError(f"unknown link id {lid}")
-            link = net.links[lid]
-            if prev_dst is not None and link.src != prev_dst:
-                raise GraphFormatError(
-                    f"links do not chain: ...->{prev_dst} then {link.src}->{link.dst}")
-            if prev_dst is None:
-                nodes.append(link.src)
-            nodes.append(link.dst)
-            prev_dst = link.dst
-            delay += link.delay
-            cost += link.cost
-        return cls(link_ids, tuple(nodes), delay, cost)
+        if not link_ids:
+            return cls((), (), 0, 0)
+        _check_link_ids(net, link_ids)
+        src, dst, delay, cost = net.table.take(link_ids, axis=1).tolist()
+        if src[1:] != dst[:-1]:
+            k = next(k for k in range(1, len(src)) if src[k] != dst[k - 1])
+            raise GraphFormatError(
+                f"links do not chain: ...->{dst[k - 1]} then {src[k]}->{dst[k]}")
+        return cls(link_ids, (src[0], *dst), sum(delay), sum(cost))
 
     def __len__(self) -> int:
         return len(self.links)
@@ -267,13 +351,17 @@ def is_elementary(p: Path) -> bool:
     return len(set(p.nodes)) == len(p.nodes)
 
 
+def _check_link_ids(net: Network, link_ids: tuple[int, ...]) -> None:
+    m = len(net.src)
+    if link_ids and (min(link_ids) < 0 or max(link_ids) >= m):
+        bad = next(lid for lid in link_ids if not 0 <= lid < m)
+        raise GraphFormatError(f"unknown link id {bad}")
+
+
 def srlgs_of_path(net: Network, p: Path) -> frozenset[int]:
-    out: set[int] = set()
-    for lid in p.links:
-        if not 0 <= lid < len(net.links):
-            raise GraphFormatError(f"unknown link id {lid}")
-        out |= net.links[lid].srlgs
-    return frozenset(out)
+    _check_link_ids(net, p.links)
+    groups = net.link_srlgs
+    return frozenset().union(*[groups[lid] for lid in p.links if lid in groups])
 
 
 @dataclass
@@ -413,52 +501,99 @@ def build_forward_tree(net: Network, s: int, metric: str,
     return dijkstra(net, s, net.weights(metric), deadline=deadline)
 
 
+def _srlg_ids(field: str) -> frozenset[int]:
+    """The Srlg ids of a ``;``-separated field; ``ValueError`` if malformed."""
+    return frozenset(map(int, filter(None, field.strip().split(";"))))
+
+
+def _line_problem(line: str, index: int) -> Optional[str]:
+    """What, if anything, is wrong with data line ``line`` as link ``index``:
+    each check of :func:`load_network` and :meth:`Network.build` that one
+    line can fail, in the order the format lists them."""
+    parts = line.split(",")
+    if len(parts) != 6:
+        return f"expected 6 comma-separated fields, got {len(parts)}"
+    try:
+        link_id, cost, delay = int(parts[0]), int(parts[3]), int(parts[4])
+    except ValueError as exc:
+        return str(exc)
+    if link_id != index:
+        return f"link ids must run 0,1,2,... (got {link_id})"
+    try:
+        srlgs = _srlg_ids(parts[5])
+    except ValueError:
+        return f"bad Srlg list {parts[5].strip()!r}"
+    if parts[1] == parts[2]:
+        return f"self-loop {parts[1]}->{parts[2]} rejected"
+    if cost < 0 or delay < 0:
+        return "negative delay or cost"
+    if max(cost, delay) >= _SUM_LIMIT:
+        return "delay/cost totals must stay below 2^53 to stay exact"
+    if srlgs and min(srlgs) < 0:
+        return "negative Srlg id"
+    if srlgs and max(srlgs) >= 1 << 63:
+        return "Srlg ids must fit in 64 bits"
+    return None
+
+
+def _parse_lines(lines: list[str]) -> Network:
+    """The network of the stripped data ``lines``, checked column-wise."""
+    m = len(lines)
+    if not m:
+        return Network.build(0, [], [], [], [])
+    # each line's six fields, then a "\n" field between two lines: the
+    # m - 1 "\n" fields fall every seventh place iff every line has six
+    fields = ",\n,".join(lines).split(",")
+    if len(fields) != 7 * m - 1 or fields[6::7].count("\n") != m - 1:
+        raise GraphFormatError("a line without 6 fields")
+    ids, cost, delay = (np.array(fields[k::7], np.int64) for k in (0, 3, 4))
+    if not np.array_equal(ids, np.arange(m)):
+        raise GraphFormatError("link ids out of order")
+    ends = [""] * (2 * m)
+    ends[0::2] = fields[1::7]
+    ends[1::2] = fields[2::7]
+    names = list(dict.fromkeys(ends))  # in order of first appearance
+    index = dict(zip(names, range(len(names))))
+    ends = np.fromiter(map(index.__getitem__, ends), np.int64, 2 * m)
+    srlg_fields = fields[5::7]
+    link_srlgs = {lid: _srlg_ids(srlg_fields[lid])
+                  for lid in compress(range(m), srlg_fields)}
+    return Network.build(len(names), ends[0::2], ends[1::2], delay, cost,
+                         link_srlgs, names)
+
+
 def load_network(text: str) -> Network:
-    """Parse the edge-list format described in the module docstring."""
-    name_to_id: dict[str, int] = {}
-    links: list[Link] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise GraphFormatError(
-                f"line {lineno}: expected 6 comma-separated fields, got {len(parts)}")
-        try:
-            link_id = int(parts[0])
-            cost = int(parts[3])
-            delay = int(parts[4])
-        except ValueError as exc:
-            raise GraphFormatError(f"line {lineno}: {exc}") from None
-        if link_id != len(links):
-            raise GraphFormatError(
-                f"line {lineno}: link ids must run 0,1,2,... (got {link_id})")
-        src_name, dst_name = parts[1], parts[2]
-        for name in (src_name, dst_name):
-            if name not in name_to_id:
-                name_to_id[name] = len(name_to_id)
-        srlg_field = parts[5].strip()
-        srlgs: frozenset[int] = frozenset()
-        if srlg_field:
-            try:
-                srlgs = frozenset(int(tok) for tok in srlg_field.split(";") if tok != "")
-            except ValueError:
-                raise GraphFormatError(
-                    f"line {lineno}: bad Srlg list {srlg_field!r}") from None
-        links.append(Link(link_id, name_to_id[src_name], name_to_id[dst_name],
-                          delay, cost, srlgs))
-    names = [""] * len(name_to_id)
-    for name, idx in name_to_id.items():
-        names[idx] = name
-    return Network.build(len(names), links, names)
+    """Parse the edge-list format described in the module docstring.
+
+    The data lines are split on ``,`` at once and every check runs on whole
+    columns.  When one fails, the lines are checked one at a time, so that
+    the :class:`GraphFormatError` names the first bad line; only the 2^53
+    totals belong to no line.  A value too large for int64 fails too.
+    """
+    lines = [line for line in map(str.strip, text.splitlines())
+             if line and line[0] != "#"]
+    try:
+        return _parse_lines(lines)
+    except (ValueError, OverflowError):  # GraphFormatError is a ValueError
+        index = 0
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line[0] == "#":
+                continue
+            problem = _line_problem(line, index)
+            if problem:
+                raise GraphFormatError(f"line {lineno}: {problem}") from None
+            index += 1
+        raise
 
 
 def dump_network(net: Network) -> str:
     """Inverse of :func:`load_network` (modulo comments)."""
-    lines = []
-    for link in net.links:
-        srlgs = ";".join(str(r) for r in sorted(link.srlgs))
-        lines.append(f"{link.id},{net.node_names[link.src]},{net.node_names[link.dst]},"
-                     f"{link.cost},{link.delay},{srlgs}")
+    srlg_fields = [""] * len(net.links)
+    for lid, groups in net.link_srlgs.items():
+        srlg_fields[lid] = ";".join(map(str, sorted(groups)))
+    names = net.node_names
+    lines = [f"{lid},{names[u]},{names[v]},{c},{d},{r}"
+             for lid, (u, v, d, c, r)
+             in enumerate(zip(*net.table.tolist(), srlg_fields))]
     return "\n".join(lines) + "\n"

@@ -228,16 +228,16 @@ def choose_lambda(net: Network, q: DrcrQuery,
     if case is None:
         case, _ = classify_case(net, q)
     if case in (DrcrCase.DEGENERATED, DrcrCase.NON_TRIVIAL_4):
-        big = sum(link.cost for link in net.links) + 1.0
+        big = int(net.cost.sum()) + 1.0
         lam, g = _bisect_lambda(net, q.src, q.dst, q.L, q.U, 0.0, big, q.U,
                                 deadline)
         return LambdaResult(lam, g, "upper", 0.0)
     if case is not DrcrCase.NON_TRIVIAL_6:
         raise ValueError(f"no binding delay bound to relax ({case.name})")
-    ratios = [link.cost / link.delay for link in net.links if link.delay > 0]
-    if not ratios:
+    timed = net.delay > 0
+    if not timed.any():
         raise ValueError("all links have zero delay")
-    mu = min(ratios)
+    mu = float((net.cost[timed] / net.delay[timed]).min())
     w, d = _min_weight_delay(net, q.src, q.dst, -mu, deadline)
     if d > q.L:
         lam, g = _bisect_lambda(net, q.src, q.dst, q.L, q.U, -mu, 0.0, q.L,
@@ -335,7 +335,7 @@ def srlg_lagrangian_ksp(net: Network, q: SrlgDrcrQuery,
     check_endpoints(net, q.src, q.dst)
     stats = KspStats()
     deadline = Deadline(time_limit)
-    big = sum(link.cost for link in net.links) + 1.0
+    big = int(net.cost.sum()) + 1.0
     w0, d0 = _min_weight_delay(net, q.src, q.dst, 0.0, deadline)
     if w0 == INF:
         return None, finish(stats, deadline, "infeasible")

@@ -144,12 +144,12 @@ def find_conflict_set(net: Network, active: Path, U: int,
     active_omega = srlgs_of_path(net, active)
     s, t = active.nodes[0], active.nodes[-1]
     delay_tree = build_reverse_tree(net, t, "delay", deadline=deadline)
-    links = net.links
+    srlgs_of = net.link_srlgs.get
     disabled: set[int] = set()
     found: list[int] = []
 
     def disjoint(path_links: list[int], _omega: int) -> bool:
-        inter = set().union(*(links[lid].srlgs for lid in path_links))
+        inter = set().union(*(srlgs_of(lid, ()) for lid in path_links))
         inter &= active_omega
         if not inter:
             return True
@@ -172,7 +172,7 @@ def find_conflict_set(net: Network, active: Path, U: int,
 def _pick_srlg(net: Network, active: Path, candidates: set[int], pick: str) -> int:
     if pick == "first-link":
         for lid in active.links:
-            shared = net.links[lid].srlgs & candidates
+            shared = net.link_srlgs.get(lid, frozenset()) & candidates
             if shared:
                 candidates = shared
                 break
@@ -202,9 +202,10 @@ def ap_pulse_plus(net: Network, src: int, dst: int, U: int,
     disabled = _links_of_srlgs(net, instance.exclude)
     for r in instance.include:
         if r < 0:
-            forced = net.links[-r - 1]
-            rivals = net.egress[forced.src] + net.ingress[forced.dst]
-            disabled.update(row[3] for row in rivals if row[3] != forced.id)
+            forced = -r - 1
+            rivals = (net.egress[net.src[forced]]
+                      + net.ingress[net.dst[forced]])
+            disabled.update(row[3] for row in rivals if row[3] != forced)
     delay_tree = build_reverse_tree(net, dst, "delay", disabled=disabled,
                                     deadline=deadline)
     if deadline.phase is not None or delay_tree.dist[src] > U:

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import INF, Link, Network, build_reverse_tree
+from .graph import INF, Network, build_reverse_tree
 from .pulse import DrcrCase, DrcrQuery, classify_case
 from .srlg import SrlgDrcrQuery, cose_pulse_plus
 
@@ -61,9 +61,7 @@ def gen_er_network(cfg: GenConfig) -> Network:
     m = len(srcs)
     delays = rng.integers(cfg.delay_dist[0], cfg.delay_dist[1] + 1, size=m)
     costs = rng.integers(cfg.cost_dist[0], cfg.cost_dist[1] + 1, size=m)
-    links = [Link(i, int(srcs[i]), int(dsts[i]), int(delays[i]), int(costs[i]))
-             for i in range(m)]
-    net = Network.build(n, links)
+    net = Network.build(n, srcs, dsts, delays, costs)
     if cfg.srlg_style != "none":
         net = gen_srlgs(net, cfg.srlg_style, cfg)
     return net
@@ -171,9 +169,8 @@ def gen_srlgs(net: Network, style: str, cfg: GenConfig) -> Network:
             next_id += 1
     else:
         raise ValueError(f"unknown srlg style {style!r}")
-    links = [Link(l.id, l.src, l.dst, l.delay, l.cost, frozenset(member[l.id]))
-             for l in net.links]
-    return Network.build(net.num_nodes, links, net.node_names)
+    return Network.build(net.num_nodes, *net.table, dict(enumerate(member)),
+                         net.node_names)
 
 
 def gen_srlg_query(net: Network, seed: int, delta: int) -> SrlgDrcrQuery:

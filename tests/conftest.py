@@ -47,7 +47,17 @@ def random_net(seed, n, p, max_srlgs=0, value_hi=10):
                                   int(rng.integers(1, value_hi + 1)),
                                   int(rng.integers(1, value_hi + 1)),
                                   srlgs))
-    return Network.build(n, links)
+    return links_network(n, links)
+
+
+def links_network(num_nodes, links, node_names=None):
+    """``Network.build`` on a list of ``Link`` records with ids 0, 1, 2, ..."""
+    assert [link.id for link in links] == list(range(len(links)))
+    return Network.build(num_nodes, [link.src for link in links],
+                         [link.dst for link in links],
+                         [link.delay for link in links],
+                         [link.cost for link in links],
+                         {link.id: link.srlgs for link in links}, node_names)
 
 
 def pair_instance(seed):
@@ -80,7 +90,7 @@ def multigraphs(draw, num_srlgs=0):
             continue
         for delay, cost, srlgs in specs:
             links.append(Link(len(links), u, v, delay, cost, srlgs))
-    return Network.build(n, links)
+    return links_network(n, links)
 
 
 # Diamond with a cheap fast path and a dear slow one.  Min-delay and

@@ -1,4 +1,4 @@
-"""Exhaustive reference solvers for small instances.
+"""Exhaustive reference solvers for small instances, for the tests.
 
 Everything here trades speed for transparency: path enumeration, pair
 enumeration and a plain dynamic program.  Guards cap the work so a wrongly
@@ -7,11 +7,13 @@ sized test fails loudly instead of hanging.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Optional
 
-from .graph import INF, Network, Path, srlgs_of_path
-from .pulse import DrcrQuery
-from .srlg import PathPair, SrlgDrcrQuery
+from drcr.costfn import CostFunction
+from drcr.graph import INF, Network, Path, srlgs_of_path
+from drcr.pulse import DrcrQuery
+from drcr.srlg import PathPair, SrlgDrcrQuery
 
 MAX_PATHS = 200_000
 MAX_DP_STATES = 5_000_000
@@ -132,13 +134,23 @@ def brute_cost_function(net: Network, s: int, t: int, U: int,
     changed = True
     while changed:
         changed = False
-        for link in net.links:
-            u, v = link.src, link.dst
+        for u, v, delay, cost in zip(*net.table.tolist()):
             fu = f[u]
             fv = f[v]
-            for l in range(link.delay, U + 1):
-                cand = fv[l - link.delay] + link.cost
+            for l in range(delay, U + 1):
+                cand = fv[l - delay] + cost
                 if cand < fu[l]:
                     fu[l] = cand
                     changed = True
     return f
+
+
+def eval_cost_function(cf: CostFunction, u: int, budget: float) -> float:
+    """Min cost over kept pairs with delay <= budget; INF if none qualify.
+
+    The rule the search applies inline to ``cf``'s Pareto lists."""
+    darr = cf.delays[u]
+    idx = bisect_right(darr, budget)
+    if idx == 0:
+        return INF
+    return cf.costs[u][idx - 1]

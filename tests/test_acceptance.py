@@ -15,15 +15,15 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES, random_net
-from drcr.costfn import compute_cost_functions, eval_cost_function
+from drcr.costfn import compute_cost_functions
 from drcr.graph import INF, build_forward_tree, build_reverse_tree, is_elementary
 from drcr.ksp import cost_ksp_drcr, delay_ksp_drcr, lagrangian_ksp_drcr
-from drcr.oracle import brute_cost_function, brute_drcr, brute_srlg_drcr, \
-    verify_conflict_set
 from drcr.pulse import DrcrQuery, PulseOptions, pulse_plus, solve_drcr
 from drcr.srlg import SrlgDrcrQuery, cose_pulse_plus
 from drcr.testgen import GenConfig, classify_trap, gen_drcr_query, \
     gen_er_network, gen_srlg_query
+from oracle import brute_cost_function, brute_drcr, brute_srlg_drcr, \
+    eval_cost_function, verify_conflict_set
 
 COLLECTED_PATHS = []  # (net, path, L, U)
 COLLECTED_PAIRS = []  # (net, pair, U, delta)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_net
-from drcr.costfn import compute_cost_functions, eval_cost_function
+from drcr.costfn import compute_cost_functions
 from drcr.graph import INF, load_network
+from oracle import eval_cost_function
 
 
 def test_destination_has_zero_pair(g1):
@@ -49,7 +50,7 @@ def test_eval_examples():
 class TestOracleEquivalence:
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_walk_dp(self, seed):
-        from drcr.oracle import brute_cost_function
+        from oracle import brute_cost_function
 
         rng = np.random.default_rng(seed)
         net = random_net(seed + 500, int(rng.integers(3, 9)), 0.5, value_hi=6)

@@ -1,11 +1,13 @@
+import gc
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import drcr.graph
-from conftest import multigraphs, random_net
+from conftest import links_network, multigraphs, random_net
 from drcr.graph import (
     INF,
     GraphFormatError,
@@ -23,9 +25,9 @@ from drcr.graph import (
 )
 from drcr.ksp import WeightFn, cost_ksp_drcr, delay_ksp_drcr, \
     lagrangian_ksp_drcr, srlg_ksp_drcr, srlg_lagrangian_ksp
-from drcr.oracle import brute_drcr
 from drcr.pulse import DrcrQuery, PulseOptions, pulse_plus, solve_drcr
 from drcr.srlg import SrlgDrcrQuery, cose_pulse_plus
+from oracle import brute_drcr
 
 
 def test_g1_shape(g1):
@@ -59,7 +61,7 @@ def test_unreachable_dist_is_inf():
 
 def weighted(num_nodes, ends):
     """A net whose link i runs ``ends[i] = (src, dst, delay)``, cost 1."""
-    return Network.build(num_nodes, [Link(i, u, v, d, 1)
+    return links_network(num_nodes, [Link(i, u, v, d, 1)
                                      for i, (u, v, d) in enumerate(ends)])
 
 
@@ -202,7 +204,7 @@ def test_expired_deadline_trees_are_not_cached():
 def test_lagrangian_rounding_below_zero_is_silent():
     # At lam = -mu, c + lam*d of the link with the least c/d can round to a
     # hair below zero: 7 - (7/25)*25 is -8.9e-16 in float64.
-    net = Network.build(3, [Link(0, 0, 1, 25, 7), Link(1, 1, 2, 1, 1)])
+    net = Network.build(3, [0, 1], [1, 2], [25, 1], [7, 1])
     weights = WeightFn.lagrangian(-(7 / 25)).link_weights(net)
     assert weights[0] < 0
     with warnings.catch_warnings():
@@ -300,6 +302,178 @@ def test_load_skips_comments_and_blanks():
     assert net.links[0].cost == 1 and net.links[0].delay == 2
 
 
+# A valid text whose fifth line, link 2, the cases below corrupt; a
+# comment and a blank line come before it.
+_VALID = "# nodes a-e\n0,a,b,1,2,0;1\n\n1,b,c,3,4,\n2,c,d,5,6,2\n3,d,e,7,8,\n"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("2,c,d,5,6", "expected 6 comma-separated fields, got 5"),
+    ("2,c,d,5,6,2,9", "expected 6 comma-separated fields, got 7"),
+    ("2,c,d,five,6,2", "invalid literal"),
+    ("2,c,d,5,6.5,2", "invalid literal"),
+    ("2,c,d," + "9" * 20 + ",6,2", "2^53"),
+    ("2,c,d,5," + "9" * 20 + ",2", "2^53"),
+    ("3,c,d,5,6,2", "link ids must run 0,1,2,... (got 3)"),
+    ("9" * 20 + ",c,d,5,6,2", "(got 99999999999999999999)"),
+    ("2,c,d,5,6,2;x", "bad Srlg list '2;x'"),
+    ("2,c,d,5,6,2; ;3", "bad Srlg list"),
+    ("2,c,c,5,6,2", "self-loop c->c"),
+    ("2,c,d,-5,6,2", "negative delay or cost"),
+    ("2,c,d,5,6,-2", "negative Srlg id"),
+    ("2,c,d,5,6," + "9" * 20, "Srlg ids must fit in 64 bits"),
+])
+def test_load_names_the_first_bad_line(bad, message):
+    lines = _VALID.splitlines()
+    assert load_network(_VALID).links[2] == Link(2, 2, 3, 6, 5, frozenset({2}))
+    lines[4] = bad
+    with pytest.raises(GraphFormatError) as err:
+        load_network("\n".join(lines))
+    assert str(err.value).startswith("line 5: ") and message in str(err.value)
+    # a later bad line is not the one named
+    lines[5] = "0,x,y,1,1,"
+    with pytest.raises(GraphFormatError, match="^line 5: "):
+        load_network("\n".join(lines))
+
+
+def test_totals_past_2_53_name_no_line():
+    big = 1 << 52
+    with pytest.raises(GraphFormatError, match="^delay/cost totals"):
+        load_network(f"0,a,b,{big},1,\n1,b,c,{big},1,\n")
+
+
+def reference_load(text):
+    """The format read one line at a time: the columns and Srlg map, or
+    the number of the first bad line (0 when only the totals fail)."""
+    names, rows = {}, []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        try:
+            assert len(parts) == 6 and int(parts[0]) == len(rows)
+            cost, delay = int(parts[3]), int(parts[4])
+            srlgs = frozenset(int(tok) for tok in parts[5].strip().split(";")
+                              if tok != "")
+            assert parts[1] != parts[2] and 0 <= min(cost, delay)
+            assert max(cost, delay) < 1 << 53
+            assert all(0 <= r < 1 << 63 for r in srlgs)
+        except (AssertionError, ValueError):
+            return lineno
+        for name in parts[1:3]:
+            names.setdefault(name, len(names))
+        rows.append((names[parts[1]], names[parts[2]], delay, cost, srlgs))
+    if any(sum(row[k] for row in rows) >= 1 << 53 for k in (2, 3)):
+        return 0
+    return list(names), rows
+
+
+_LINE_FIELDS = [
+    st.sampled_from(["0", "1", "2", " 1", "+1", "x", "9" * 20]),
+    st.sampled_from(["a", "b", " a", "c d", "#", ""]),
+    st.sampled_from(["a", "b", "c", "b "]),
+    st.sampled_from(["0", "3", "-1", "2.0", str(1 << 52), "9" * 20]),
+    st.sampled_from(["0", "7", " 7", "-0", str(1 << 52), "1_0"]),
+    st.sampled_from(["", "1", "2;3", ";", " 1;2", "1;;2", "-1", "x",
+                     "9" * 20]),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(
+    st.tuples(*_LINE_FIELDS).map(",".join),
+    st.sampled_from(["", "  ", "# note", "0,a,b,1,1", "0,a,b,1,1,2,3"])),
+    max_size=6))
+def test_load_agrees_with_a_line_by_line_reading(lines):
+    text = "\n".join(lines)
+    expect = reference_load(text)
+    try:
+        net = load_network(text)
+    except GraphFormatError as exc:
+        assert not isinstance(expect, tuple)
+        assert str(exc).startswith(f"line {expect}: " if expect
+                                   else "delay/cost totals")
+        return
+    assert isinstance(expect, tuple)
+    names, rows = expect
+    assert net.node_names == names
+    assert [(l.src, l.dst, l.delay, l.cost, l.srlgs) for l in net.links] == rows
+    assert load_network(dump_network(net)).node_names == names
+
+
+@pytest.mark.parametrize("names, message", [
+    (["a,b", "c"], "comma or a line break"),
+    (["a", "b\nc"], "comma or a line break"),
+    (["a\r", "b"], "comma or a line break"),
+    (["a", "b\u2028"], "comma or a line break"),
+    (["a\x1c", "b"], "comma or a line break"),
+    (["a", "a"], "appears twice"),
+    (["a"], "1 node names for 2 nodes"),
+])
+def test_build_rejects_names_that_do_not_reload(names, message):
+    with pytest.raises(GraphFormatError, match=message):
+        Network.build(2, [0], [1], [1], [1], node_names=names)
+
+
+def test_names_with_spaces_and_empty_names_reload():
+    net = Network.build(3, [0, 1], [1, 2], [1, 1], [1, 1],
+                        node_names=["", " a b ", "#c"])
+    again = load_network(dump_network(net))
+    assert again.node_names == net.node_names
+    assert list(again.links) == list(net.links)
+
+
+@pytest.mark.parametrize("columns, link_srlgs, message", [
+    (([0], [1, 0], [1], [1]), None, "differ in length"),
+    (([0], [1], [1 << 63], [1]), None, "64 bits"),
+    (([0], [2], [1], [1]), None, "endpoint out of range"),
+    (([0], [1], [1], [-1]), None, "negative delay or cost"),
+    (([0], [1], [1], [1]), {1: {0}}, "not there"),
+    (([0], [1], [1], [1]), {0: {-1}}, "negative Srlg id"),
+    (([0], [1], [1], [1]), {0: {1 << 63}}, "64 bits"),
+])
+def test_build_checks_the_columns(columns, link_srlgs, message):
+    with pytest.raises(GraphFormatError, match=message):
+        Network.build(2, *columns, link_srlgs)
+
+
+def test_links_is_a_read_only_view(g3b):
+    links = g3b.links
+    assert len(links) == 8 and links[-1] == links[7]
+    assert links[1] == Link(1, g3b.node_id("D"), g3b.node_id("E"), 1, 1,
+                            frozenset({2}))
+    assert links[5].srlgs == frozenset()
+    assert links[1] is not links[1]  # built on access, never stored
+    assert [l.id for l in links] == list(range(8))
+    with pytest.raises(IndexError):
+        links[8]
+    assert g3b.table.dtype == np.int64 and g3b.table.shape == (4, 8)
+    assert not g3b.table.flags.writeable
+    assert g3b.link_srlgs == {0: {0}, 1: {2}, 2: {3}, 3: {1}, 4: {0}, 6: {1}}
+
+
+def test_rows_and_paths_hold_python_ints(g3b):
+    rows = [row for rows in g3b.egress + g3b.ingress for row in rows]
+    assert len(rows) == 16
+    assert all(type(x) is int for row in rows for x in row)
+    p = Path.from_links(g3b, [0, 1, 3])
+    assert all(type(x) is int for x in p.nodes + (p.delay, p.cost))
+
+
+def test_loading_keeps_no_tracked_object_per_link():
+    # a ring of 500 nodes with ten parallel links per hop
+    n_links = 5000
+    text = "".join(f"{i},{i % 500},{(i + 1) % 500},1,1,\n"
+                   for i in range(n_links))
+    gc.collect()
+    before = len(gc.get_objects())
+    net = load_network(text)
+    gc.collect()
+    assert len(net.links) == n_links
+    assert len(gc.get_objects()) - before < n_links
+
+
 def test_srlg_index_inverted(g3a):
     assert g3a.srlgs[0].links == {0, 3}
     assert g3a.srlgs[1].links == {1, 2}
@@ -308,7 +482,7 @@ def test_srlg_index_inverted(g3a):
 def test_dump_load_roundtrip(g3b):
     again = load_network(dump_network(g3b))
     assert again.num_nodes == g3b.num_nodes
-    assert again.links == g3b.links
+    assert list(again.links) == list(g3b.links)
 
 
 @given(st.lists(
@@ -322,7 +496,7 @@ def test_build_dump_load_identity(raw):
         if u == v:
             continue
         links.append(Link(len(links), u, v, d, c, frozenset(srlgs)))
-    net = Network.build(6, links)
+    net = links_network(6, links)
     # every link is one egress row at its tail and one ingress row at its
     # head; each node's rows run in ascending link id
     egress = sorted((u, row) for u, rows in enumerate(net.egress)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import multigraphs
 import drcr.pulse
 import drcr.srlg
-from drcr.costfn import compute_cost_functions, eval_cost_function
+from drcr.costfn import compute_cost_functions
 from drcr.graph import (
     INF,
     build_forward_tree,
@@ -23,13 +23,6 @@ from drcr.graph import (
     load_network,
     srlgs_of_path,
 )
-from drcr.oracle import (
-    brute_cost_function,
-    brute_drcr,
-    brute_srlg_drcr,
-    enumerate_elementary_paths,
-    verify_conflict_set,
-)
 from drcr.pulse import DrcrQuery, PulseOptions, run_pulse_search, solve_drcr
 from drcr.srlg import (
     ConflictSet,
@@ -37,6 +30,14 @@ from drcr.srlg import (
     SubInstance,
     ap_pulse_plus,
     cose_pulse_plus,
+)
+from oracle import (
+    brute_cost_function,
+    brute_drcr,
+    brute_srlg_drcr,
+    enumerate_elementary_paths,
+    eval_cost_function,
+    verify_conflict_set,
 )
 
 

@@ -15,9 +15,9 @@ from drcr.ksp import (
     srlg_lagrangian_ksp,
     yen_ksp,
 )
-from drcr.oracle import brute_drcr, brute_srlg_drcr, enumerate_elementary_paths
 from drcr.pulse import DrcrQuery
 from drcr.srlg import SrlgDrcrQuery
+from oracle import brute_drcr, brute_srlg_drcr, enumerate_elementary_paths
 
 
 def q(g, src, dst, L, U):

@@ -1,8 +1,10 @@
 import pytest
 
 from conftest import random_net
-from drcr.graph import Link, Network, load_network
-from drcr.oracle import (
+from drcr.graph import Network, load_network
+from drcr.pulse import DrcrQuery
+from drcr.srlg import SrlgDrcrQuery
+from oracle import (
     ExplosionGuard,
     brute_cost_function,
     brute_drcr,
@@ -10,17 +12,12 @@ from drcr.oracle import (
     enumerate_elementary_paths,
     verify_conflict_set,
 )
-from drcr.pulse import DrcrQuery
-from drcr.srlg import SrlgDrcrQuery
 
 
 def complete_graph(n):
-    links = []
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                links.append(Link(len(links), u, v, 1, 1))
-    return Network.build(n, links)
+    ends = [(u, v) for u in range(n) for v in range(n) if u != v]
+    src, dst = zip(*ends)
+    return Network.build(n, src, dst, [1] * len(ends), [1] * len(ends))
 
 
 class TestEnumeration:

@@ -9,13 +9,11 @@ from conftest import G3B_TEXT, random_net
 from drcr.graph import (
     INF,
     Deadline,
-    Link,
     Network,
     build_reverse_tree,
     is_elementary,
     load_network,
 )
-from drcr.oracle import brute_drcr
 from drcr.pulse import (
     DrcrCase,
     DrcrQuery,
@@ -28,6 +26,7 @@ from drcr.pulse import (
 )
 from drcr.srlg import SubInstance, ap_pulse_plus, backup_search
 from drcr.testgen import GenConfig, gen_drcr_query, gen_er_network
+from oracle import brute_drcr
 
 
 def q(g, src, dst, L, U):
@@ -237,9 +236,8 @@ def fan_net(width=1500):
     run 1 (``s``), 2-1501 (the fan) and 1502 (``t``), across a small budget
     and the 1024-pop deadline stride.
     """
-    links = [Link(i, 0, 2, 1, 1) for i in range(width)]
-    links.append(Link(width, 0, 1, 1, 1))
-    return Network.build(3, links)
+    ones = [1] * (width + 1)
+    return Network.build(3, [0] * (width + 1), [2] * width + [1], ones, ones)
 
 
 def fan_search(**kwargs):

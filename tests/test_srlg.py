@@ -1,9 +1,8 @@
 import pytest
 
 import drcr.srlg
-from conftest import pair_instance
+from conftest import links_network, pair_instance
 from drcr.graph import Link, Network, Path, load_network, srlgs_of_path
-from drcr.oracle import brute_srlg_drcr, verify_conflict_set
 from drcr.srlg import (
     ConflictSet,
     PathPair,
@@ -14,6 +13,7 @@ from drcr.srlg import (
     cose_pulse_plus,
     find_conflict_set,
 )
+from oracle import brute_srlg_drcr, verify_conflict_set
 
 
 class TestBackupSearch:
@@ -182,7 +182,7 @@ def ladder_net(k: int) -> Network:
         for u in tails:
             for v in heads:
                 add(u, v, 2, 1)
-    return Network.build(2 * k + 2, links)
+    return links_network(2 * k + 2, links)
 
 
 class TestForcedLinks:

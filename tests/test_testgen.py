@@ -67,8 +67,8 @@ class TestDrcrQueries:
 
     def test_give_up_reported(self):
         # two isolated nodes linked one way only: no case-4 query exists
-        from drcr.graph import Link, Network
-        net = Network.build(2, [Link(0, 0, 1, 1, 1)])
+        from drcr.graph import Network
+        net = Network.build(2, [0], [1], [1], [1])
         with pytest.raises(GenerationError):
             gen_drcr_query(net, 0, 4)
 
