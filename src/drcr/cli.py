@@ -96,6 +96,8 @@ def _solve_one(net, q, algo: str, opts: PulseOptions,
     if algo == "pulse+":
         path, stats = solve_drcr(net, q, opts)
         rec.update(ldf=opts.ldf, joint_pruning=opts.joint_pruning)
+        if stats.lambda_value is not None:  # the Lagrangian cut ran
+            rec["lambda"] = stats.lambda_value
         if opts.joint_pruning:
             rec["cf_build_us"] = stats.cf_build_us
     elif algo == "cose-pulse+":

@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -132,10 +132,15 @@ class Network:
     links as a CSR matrix per direction (:meth:`matrix`).  ``srlgs`` maps
     Srlg id to the set of member links, the inverted ``link_srlgs``.  The
     network also caches the ``TREE_CACHE_SIZE`` destination trees on all
-    its links that it used last (:func:`build_reverse_tree`), about 160 KB
-    each at 4000 nodes, plus the largest-delay-first order the searches
-    kept on each delay tree (:attr:`ShortestTree.egress_order`): up to
-    about 1 MB per destination at 4000 nodes and 99,351 links.
+    its links that it used last: delay and cost trees
+    (:func:`build_reverse_tree`), about 160 KB each at 4000 nodes, and
+    Lagrangian distances (:func:`lagrangian_dist`), about 110 KB each, plus
+    the largest-delay-first order the searches kept on each delay tree
+    (:attr:`ShortestTree.egress_order`): up to about 1 MB per destination
+    at 4000 nodes and 99,351 links.  After two passes of the
+    ``drcr-4k-dst`` benchmark pool (10 destinations) the cache holds 20
+    trees and 39 distance lists, 16.3 MB with the memo, CSR matrix and
+    weight columns.
     """
 
     num_nodes: int
@@ -263,8 +268,13 @@ class Network:
         return cached
 
     @cached_property
-    def _trees(self) -> OrderedDict[tuple[int, str], "ShortestTree"]:
+    def _trees(self) -> OrderedDict[tuple, "ShortestTree | list[float]"]:
         return OrderedDict()
+
+    @cached_property
+    def totals(self) -> tuple[int, int]:
+        """The delay and the cost total over all links, each below 2^53."""
+        return _total(self.delay), _total(self.cost)
 
     def _rows(self, at: np.ndarray, other: np.ndarray,
               ) -> list[list[tuple[int, int, int, int]]]:
@@ -371,16 +381,20 @@ class ShortestTree:
     For a destination-rooted (reverse) tree, ``dist[u]`` is the least metric
     over all u->root paths; for a source-rooted (forward) tree, over all
     root->u paths.  ``pred`` is csgraph's predecessor array (negative at the
-    root and where unreachable) and ``weights`` the per-link weights the tree
-    was built on, ``inf`` on disabled links.  :meth:`path_from` derives the
-    tree's links from these.  A tree from :func:`build_reverse_tree` may be
-    the network's cached copy, shared with every later caller: read it, never
-    write to it, except for the search's :attr:`egress_order` memo.  The
-    memo holds one tuple of rows per expanded node: about 1 MB once every
-    node of a 4000-node, 99,351-link network is in it, and 0.54 MB per
-    destination after one pass of the ``drcr-4k-dst`` benchmark pool.  A
-    masked tree is built afresh, so its memo lives only as long as its
-    sub-instance's searches.
+    root and where unreachable), ``weights`` the per-link weights the tree
+    was built on and ``disabled`` the links it was built without.
+    :meth:`path_from` derives the tree's links from these.  At 4000 nodes
+    ``dist`` and ``pred`` take about 160 KB; ``weights`` is shared with the
+    network for a delay or cost tree, and its own array otherwise (0.8 MB at
+    99,351 links), which is why the cache keeps only the ``dist`` of a
+    Lagrangian tree (:func:`lagrangian_dist`).  A tree from
+    :func:`build_reverse_tree` may be the network's cached copy, shared with
+    every later caller: read it, never write to it, except for the search's
+    :attr:`egress_order` memo.  The memo holds one tuple of rows per
+    expanded node: about 1 MB once every node of a 4000-node, 99,351-link
+    network is in it, and 0.54 MB per destination after one pass of the
+    ``drcr-4k-dst`` benchmark pool.  A masked tree is built afresh, so its
+    memo lives only as long as its sub-instance's searches.
     """
 
     root: int
@@ -388,6 +402,7 @@ class ShortestTree:
     dist: list[float]
     pred: np.ndarray
     weights: np.ndarray
+    disabled: frozenset[int] = frozenset()
 
     @cached_property
     def egress_order(self) -> list[Optional[tuple]]:
@@ -402,35 +417,51 @@ class ShortestTree:
         """The tree path between ``u`` and the root.
 
         Walking from ``u``, at each node ``v`` take, among the tight links
-        (``weight + dist[h] == dist[v]``) to a node ``h`` with ``dist[h] <
-        dist[v]``, the one with the least ``(dist[h], h, link id)``.  That is
-        the link a heap Dijkstra keeps on positive weights: it settles nodes
-        in ``(dist, id)`` order and keeps the first strictly improving link.
-        A node whose tight links all lead to nodes at its own distance (zero
-        weights) takes the lowest-id tight link to ``pred[v]`` instead, so the
-        walk never cycles.
+        (``weight + dist[h] == dist[v]``, never a disabled one) to a node
+        ``h`` with ``dist[h] < dist[v]``, the one with the least ``(dist[h],
+        h, link id)``.  That is the link a heap Dijkstra keeps on positive
+        weights: it settles nodes in ``(dist, id)`` order and keeps the first
+        strictly improving link.  A node whose tight links all lead to nodes
+        at its own distance (zero weights) takes the lowest-id tight link to
+        ``pred[v]`` instead, so the walk never cycles.  A tree on the
+        network's own delay or cost column reads each link's weight off its
+        row, and the path is summed from the rows walked.
         """
         dist = self.dist
         if dist[u] == INF:
             return None
         rows = net.egress if self.reverse else net.ingress
-        weights = self.weights
-        ids: list[int] = []
+        weights, disabled = self.weights, self.disabled
+        field = (1 if weights is net.weights("delay")
+                 else 2 if weights is net.weights("cost") else None)
+        hops: list[tuple[int, int, int, int]] = []
         node = u
         while node != self.root:
             dv = dist[node]
-            tight = [(dist[h], h, lid) for h, _d, _c, lid in rows[node]
-                     if dist[h] + weights[lid] == dv]  # in link-id order
-            nearer = [hop for hop in tight if hop[0] < dv]
-            if nearer:
-                _dh, node, lid = min(nearer)
+            if field is None:
+                tight = [row for row in rows[node]
+                         if dist[row[0]] + weights[row[3]] == dv]
             else:
-                pred = self.pred[node]
-                _dh, node, lid = next(hop for hop in tight if hop[1] == pred)
-            ids.append(lid)
+                tight = [row for row in rows[node]
+                         if dist[row[0]] + row[field] == dv]
+            if disabled:
+                tight = [row for row in tight if row[3] not in disabled]
+            # rows run in link-id order, and min keeps the first least one
+            nearer = [row for row in tight if dist[row[0]] < dv]
+            if nearer:
+                hop = min(nearer, key=lambda row: (dist[row[0]], row[0]))
+            else:
+                pred = int(self.pred[node])
+                hop = next(row for row in tight if row[0] == pred)
+            hops.append(hop)
+            node = hop[0]
+        if not hops:
+            return Path((), (), 0, 0)
         if not self.reverse:
-            ids.reverse()
-        return Path.from_links(net, ids)
+            hops.reverse()
+        ends, delays, costs, links = zip(*hops)
+        nodes = (u, *ends) if self.reverse else (*ends, u)
+        return Path(links, nodes, sum(delays), sum(costs))
 
 
 def dijkstra(net: Network, root: int, weights: np.ndarray, *,
@@ -446,16 +477,18 @@ def dijkstra(net: Network, root: int, weights: np.ndarray, *,
     """
     if not 0 <= root < net.num_nodes:
         raise ValueError(f"node {root} out of range")
-    if disabled:
-        weights = weights.copy()
-        weights[list(disabled)] = INF
+    disabled = frozenset(disabled or ())
     if deadline is not None and deadline.expired("graph.dijkstra"):
         dist = [INF] * net.num_nodes
         dist[root] = 0.0
         return ShortestTree(root, reverse, dist,
-                            np.full(net.num_nodes, -9999), weights)
+                            np.full(net.num_nodes, -9999), weights, disabled)
+    masked = weights
+    if disabled:
+        masked = weights.copy()
+        masked[list(disabled)] = INF
     mat, perm = net.matrix(reverse)
-    mat.data = weights[perm]
+    mat.data = masked[perm]
     with warnings.catch_warnings():
         # at lam = -mu float rounding leaves c + lam*d a hair below zero
         warnings.filterwarnings("ignore", "Graph has negative weights")
@@ -463,7 +496,27 @@ def dijkstra(net: Network, root: int, weights: np.ndarray, *,
                                        return_predecessors=True)
     if deadline is not None:
         deadline.expired("graph.dijkstra")
-    return ShortestTree(root, reverse, dist.tolist(), pred, weights)
+    return ShortestTree(root, reverse, dist.tolist(), pred, weights, disabled)
+
+
+def _cached(net: Network, key: tuple, build: Callable[[], object],
+            deadline: Optional[Deadline]):
+    """``net``'s cache entry for ``key``, made most recently used; on a miss
+    ``build()``'s result, kept unless ``deadline`` has expired.  A hit still
+    checks ``deadline`` once."""
+    cache = net._trees
+    entry = cache.get(key)
+    if entry is not None:
+        cache.move_to_end(key)
+        if deadline is not None:
+            deadline.expired("graph.dijkstra")
+        return entry
+    entry = build()
+    if deadline is None or deadline.phase is None:
+        cache[key] = entry
+        if len(cache) > TREE_CACHE_SIZE:
+            cache.popitem(last=False)
+    return entry
 
 
 def build_reverse_tree(net: Network, t: int, metric: str,
@@ -472,27 +525,37 @@ def build_reverse_tree(net: Network, t: int, metric: str,
     """Destination-rooted shortest tree: dist[u] = min metric over u->t paths.
 
     A tree on all links (no ``disabled``) is kept in ``net``'s cache of the
-    ``TREE_CACHE_SIZE`` most recently used ``(t, metric)`` trees and returned
-    shared, read-only, to later calls; a hit still checks ``deadline`` once.
-    Only trees whose Dijkstra ran to the end with the deadline unexpired are
-    kept, never the root-only tree of a passed deadline.  Masked trees are
-    built every time.
+    ``TREE_CACHE_SIZE`` most recently used entries under ``(t, metric)`` and
+    returned shared, read-only, to later calls; a hit still checks
+    ``deadline`` once.  Only trees whose Dijkstra ran to the end with the
+    deadline unexpired are kept, never the root-only tree of a passed
+    deadline.  Masked trees are built every time.
     """
-    cache = net._trees
-    key = (t, metric)
-    tree = None if disabled else cache.get(key)
-    if tree is not None:
-        cache.move_to_end(key)
-        if deadline is not None:
-            deadline.expired("graph.dijkstra")
-        return tree
-    tree = dijkstra(net, t, net.weights(metric), reverse=True,
-                    disabled=disabled, deadline=deadline)
-    if not disabled and (deadline is None or deadline.phase is None):
-        cache[key] = tree
-        if len(cache) > TREE_CACHE_SIZE:
-            cache.popitem(last=False)
-    return tree
+    def build() -> ShortestTree:
+        return dijkstra(net, t, net.weights(metric), reverse=True,
+                        disabled=disabled, deadline=deadline)
+
+    return build() if disabled else _cached(net, (t, metric), build, deadline)
+
+
+def trees_cached(net: Network, t: int) -> bool:
+    """True when ``net``'s cache holds both unmasked trees rooted at ``t``."""
+    return (t, "delay") in net._trees and (t, "cost") in net._trees
+
+
+def lagrangian_dist(net: Network, t: int, lam: float,
+                    deadline: Optional[Deadline] = None) -> list[float]:
+    """``dist[u]``, the least ``cost + lam * delay`` over all u->t paths.
+
+    Kept in the same cache as :func:`build_reverse_tree`'s trees, under
+    ``(t, "lagrangian", lam)`` and on the same terms, but only the distances
+    are kept: no predecessors or weights, so no path can be derived.
+    """
+    def build() -> list[float]:
+        weights = net.weights("cost") + lam * net.weights("delay")
+        return dijkstra(net, t, weights, reverse=True, deadline=deadline).dist
+
+    return _cached(net, (t, "lagrangian", lam), build, deadline)
 
 
 def build_forward_tree(net: Network, s: int, metric: str,

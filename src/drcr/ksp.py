@@ -265,14 +265,14 @@ def lagrangian_ksp_drcr(net: Network, q: DrcrQuery,
     """
     stats = KspStats()
     deadline = Deadline(time_limit)
-    case, ready = classify_case(net, q, deadline)  # checks the endpoints
+    case, min_cost = classify_case(net, q, deadline)  # checks the endpoints
     if deadline.phase is not None:
         return None, finish(stats, deadline, "timeout")
     if case is DrcrCase.INFEASIBLE:
         return None, finish(stats, deadline, "infeasible")
-    if ready is not None:
+    if case.trivial:
         stats.lambda_value = 0.0
-        return ready, finish(stats, deadline, "optimal")
+        return min_cost, finish(stats, deadline, "optimal")
     lam = choose_lambda(net, q, case, deadline).lambda_star
     if deadline.phase is not None:  # a bisection cut short chose nothing
         return None, finish(stats, deadline, "timeout")

@@ -5,14 +5,16 @@ when it can no longer beat the incumbent (optimality cut) or can no longer
 reach the destination within the delay upper bound (feasibility cut).  No
 dominance pruning is performed: with a delay lower bound a dominated prefix
 can still complete into the only feasible path.  Stack entries carry their
-depth; one on-path node array and one path-link array describe the current
-path and are unwound to the popped entry's depth, so only elementary paths
-are produced and the found path is read off the path-link array.  The same
-kernel runs the Srlg active-path, backup and conflict-set searches.
+depth; an on-path flag per node and the node and link at each depth
+describe the current path and are unwound to the popped entry's depth, so
+only elementary paths are produced and the found path is read off them.
+The same kernel runs the Srlg active-path, backup and conflict-set
+searches.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from bisect import bisect_right
@@ -29,6 +31,8 @@ from .graph import (
     build_reverse_tree,
     check_endpoints,
     finish,
+    lagrangian_dist,
+    trees_cached,
 )
 from .costfn import CostFunction, compute_cost_functions
 
@@ -40,6 +44,11 @@ class DrcrCase(Enum):
     NON_TRIVIAL_4 = 4
     TRIVIAL_MIN_COST_5 = 5
     NON_TRIVIAL_6 = 6
+
+    @property
+    def trivial(self) -> bool:
+        """The min-cost path is the optimum."""
+        return self in (DrcrCase.TRIVIAL_MIN_COST, DrcrCase.TRIVIAL_MIN_COST_5)
 
 
 @dataclass(frozen=True)
@@ -89,6 +98,7 @@ class SearchStats:
     elapsed_us: int = 0
     cf_build_us: int = 0
     timeout_phase: Optional[str] = None  # the layer that found the limit passed
+    lambda_value: Optional[float] = None  # the Lagrangian cut's, if one ran
 
 
 def dst_trees(net: Network, q: DrcrQuery,
@@ -106,10 +116,11 @@ def classify_case(net: Network, q: DrcrQuery,
                   ) -> tuple[DrcrCase, Optional[Path]]:
     """Map a query onto the six-way case split.
 
-    Returns the min-cost path as the ready-made optimum for the two trivial
-    cases where it already satisfies the delay range.  Once ``deadline``
-    has expired the trees may be cut short and the answer proves nothing;
-    it reads ``INFEASIBLE`` then.
+    Returns the case and the min-cost path (``None`` when no path fits
+    ``U``), walked once here: in the two :attr:`DrcrCase.trivial` cases it
+    already satisfies the delay range and is the optimum.  Once
+    ``deadline`` has expired the trees may be cut short and the answer
+    proves nothing; it reads ``INFEASIBLE`` then.
     """
     delay_tree, cost_tree = dst_trees(net, q, deadline)
     if deadline is not None and deadline.phase is not None:
@@ -124,12 +135,12 @@ def classify_case(net: Network, q: DrcrQuery,
         # Every path meets the lower bound.
         if d_min_cost <= q.U:
             return DrcrCase.TRIVIAL_MIN_COST, min_cost_path
-        return DrcrCase.DEGENERATED, None
+        return DrcrCase.DEGENERATED, min_cost_path
     if d_min_cost < q.L:
-        return DrcrCase.NON_TRIVIAL_6, None
+        return DrcrCase.NON_TRIVIAL_6, min_cost_path
     if d_min_cost <= q.U:
         return DrcrCase.TRIVIAL_MIN_COST_5, min_cost_path
-    return DrcrCase.NON_TRIVIAL_4, None
+    return DrcrCase.NON_TRIVIAL_4, min_cost_path
 
 
 def ldf_key(delay_dist: list[float]) -> Callable[[tuple], float]:
@@ -155,6 +166,7 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
                      tmp_min: float = INF,
                      first_feasible: bool = False,
                      cf: Optional[CostFunction] = None,
+                     lagrangian: Optional[tuple[float, list[float]]] = None,
                      deadline: Optional[Deadline] = None,
                      accept: Optional[Callable[[list[int], int], bool]] = None,
                      link_masks: Optional[list[int]] = None,
@@ -170,7 +182,12 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
     every such hit is accepted.  ``first_feasible`` pins the incumbent so
     the optimality cut stays off and the first accepted path is returned
     (used where cost is irrelevant).  ``cf`` switches the optimality cut to
-    the joint delay-cost rule.  A partial path whose ``omega`` contains one
+    the joint delay-cost rule.  ``lagrangian``, a pair ``(lam, dist_lam)``
+    with ``lam >= 0`` and ``dist_lam`` from :func:`lagrangian_dist`, adds a
+    second bound to the plain cut: no completion from ``u`` within the
+    delay left costs less than ``dist_lam[u] - lam * (U - dly)``; ``cf``
+    overrides it.  The caller makes sure that every sum the cut adds up is
+    exact in float64.  A partial path whose ``omega`` contains one
     of the ``conflict_masks`` is cut.  Links in ``disabled`` are never
     taken; a rejecting predicate may add to it, and the pending branches
     below the shallowest newly disabled link of the rejected path are then
@@ -191,7 +208,7 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
     turn, so the counts, the status and the trace are those of pushing
     them.
     """
-    best: Optional[list[int]] = None
+    best: Optional[Path] = None
     searched = 0.0
     iterations = 0
     trace: list[tuple[int, int]] = []
@@ -214,6 +231,10 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
     if cf is not None:
         cf_delays = cf.delays
         cf_costs = cf.costs
+    # a plain search tests this flag alone on its way to its cost cut
+    bounded = cf is not None or lagrangian is not None
+    if lagrangian is not None:
+        lam, lam_dist = lagrangian
     stopped = None
     while stack:
         if iterations >= max_iterations:
@@ -238,7 +259,9 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
             if L <= dly <= U and (first_feasible or cst < tmp_min):
                 links = path_links[1:depth + 1]
                 if accept is None or accept(links, omega):
-                    best = links
+                    # the ancestors' slots of path_nodes hold the path
+                    best = Path(tuple(links), (*path_nodes[:depth], t),
+                                dly, cst)
                     if first_feasible:
                         break
                     tmp_min = cst
@@ -257,12 +280,17 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
         if dly + delay_dist[node] > U:
             searched += s3
             continue
-        if cf is not None:
-            budget = U - dly
-            darr = cf_delays[node]
-            idx = bisect_right(darr, budget)
-            bound = INF if idx == 0 else cf_costs[node][idx - 1]
-            if cst + bound >= tmp_min:
+        if bounded:
+            if cf is not None:
+                budget = U - dly
+                darr = cf_delays[node]
+                idx = bisect_right(darr, budget)
+                bound = INF if idx == 0 else cf_costs[node][idx - 1]
+                if cst + bound >= tmp_min:
+                    searched += s3
+                    continue
+            elif (cst + cost_dist[node] >= tmp_min
+                  or cst + lam_dist[node] - lam * (U - dly) >= tmp_min):
                 searched += s3
                 continue
         elif cst + cost_dist[node] >= tmp_min:
@@ -312,18 +340,20 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
             push((to, dly + d_e, cst + c_e, depth, elid, child_s3))
     status = stopped or ("infeasible" if best is None else "optimal")
     stats = SearchStats(status, iterations, min(searched, 1.0 + 1e-9), trace)
-    return (None if best is None else Path.from_links(net, best)), stats
+    return best, stats
 
 
 def _search(net: Network, q: DrcrQuery, opts: PulseOptions, deadline: Deadline,
+            lagrangian: Optional[tuple[float, list[float]]] = None,
             ) -> tuple[Optional[Path], SearchStats]:
-    """The search phases of :func:`pulse_plus`, tree builds included."""
+    """The search phases of :func:`pulse_plus`, tree builds included;
+    ``lagrangian`` goes to :func:`run_pulse_search`."""
     delay_tree, cost_tree = dst_trees(net, q, deadline)
 
     def search(**kwargs) -> tuple[Optional[Path], SearchStats]:
         return run_pulse_search(
             net, q.src, q.dst, q.L, q.U, delay_tree, cost_tree.dist,
-            ldf=opts.ldf, deadline=deadline, **kwargs)
+            ldf=opts.ldf, lagrangian=lagrangian, deadline=deadline, **kwargs)
 
     path, stats = search(max_iterations=PLAIN_BUDGET if opts.joint_pruning
                          else sys.maxsize)
@@ -368,22 +398,65 @@ def pulse_plus(net: Network, q: DrcrQuery,
     return path, finish(stats, deadline, stats.status)
 
 
+def lagrangian_cut(net: Network, q: DrcrQuery, min_cost: Path,
+                   deadline: Optional[Deadline] = None,
+                   ) -> Optional[tuple[float, list[float]]]:
+    """The ``(lam, dist_lam)`` of :func:`run_pulse_search`'s Lagrangian cut
+    for a query whose ``U`` binds (cases 2 and 4), or ``None``.
+
+    ``lam`` is LARAC's first multiplier, the slope between the min-cost
+    path ``min_cost`` and the min-delay path, rounded down to a power of
+    two, so that nearby slopes share one cached :func:`lagrangian_dist`.
+    Every sum the cut adds up is then a multiple of ``min(lam, 1)`` no
+    larger than ``2 C + lam D`` (``C`` and ``D`` the network's cost and
+    delay totals; ``U < D`` here), so float64 holds it exactly while that
+    bound stays below 2^53 such units.  ``None`` when the slope is 0, when
+    the bound reaches 2^53 units, or once ``deadline`` has expired.
+    """
+    min_delay = build_reverse_tree(net, q.dst, "delay", deadline=deadline
+                                   ).path_from(net, q.src)
+    slope = ((min_delay.cost - min_cost.cost)
+             / (min_cost.delay - min_delay.delay))
+    if slope <= 0.0:
+        return None
+    exp = math.frexp(slope)[1] - 1  # lam = 2^exp <= slope < 2^(exp + 1)
+    delay_total, cost_total = net.totals
+    if (2 * cost_total << max(-exp, 0)) + (delay_total << max(exp, 0)) \
+            >= 1 << 53:
+        return None
+    lam = math.ldexp(1.0, exp)
+    dist = lagrangian_dist(net, q.dst, lam, deadline)
+    return None if deadline is not None and deadline.phase else (lam, dist)
+
+
 def solve_drcr(net: Network, q: DrcrQuery,
                opts: Optional[PulseOptions] = None,
                ) -> tuple[Optional[Path], SearchStats]:
     """Case-classify then dispatch: trivial cases bypass the search.
 
-    ``elapsed_us`` and ``opts.time_limit`` cover the whole call.
+    A query whose ``U`` binds (cases 2 and 4) to a destination whose two
+    trees were already cached when it arrived also gets the Lagrangian cut
+    of :func:`lagrangian_cut`, and ``lambda_value`` records its ``lam``.
+    A first visit builds no Lagrangian tree, so destinations that never
+    repeat pay nothing for it.  ``elapsed_us`` and ``opts.time_limit`` cover
+    the whole call.
     """
     opts = opts or PulseOptions()
     deadline = Deadline(opts.time_limit)
-    case, ready = classify_case(net, q, deadline)
+    repeat = trees_cached(net, q.dst)
+    case, min_cost = classify_case(net, q, deadline)
     path, stats = None, SearchStats()
     if deadline.phase is None:
-        if ready is not None:
-            path, stats = ready, SearchStats(
+        if case.trivial:
+            path, stats = min_cost, SearchStats(
                 status="optimal", searched_fraction=1.0,
-                best_cost_trace=[(0, ready.cost)])
+                best_cost_trace=[(0, min_cost.cost)])
         elif case is not DrcrCase.INFEASIBLE:
-            path, stats = _search(net, q, opts, deadline)
+            cut = None
+            if repeat and case in (DrcrCase.DEGENERATED,
+                                   DrcrCase.NON_TRIVIAL_4):
+                cut = lagrangian_cut(net, q, min_cost, deadline)
+            path, stats = _search(net, q, opts, deadline, cut)
+            if cut is not None:
+                stats.lambda_value = cut[0]
     return path, finish(stats, deadline, stats.status)

@@ -45,13 +45,15 @@ class TestClassify:
 
     def test_lower_above_min_cost_delay(self, g1):
         case, p = classify_case(g1, q(g1, "s", "t", 3, 5))
-        assert case is DrcrCase.NON_TRIVIAL_6 and p is None
+        assert case is DrcrCase.NON_TRIVIAL_6 and not case.trivial
+        assert p.links == (0, 1)  # the min-cost path, delay 2 < L
 
     def test_degenerated(self):
         # min-delay path fits, min-cost path violates U
         net = load_network("0,s,t,9,1,\n1,s,a,1,5,\n2,a,t,1,5,\n")
         case, p = classify_case(net, DrcrQuery(0, 1, 0, 4))
-        assert case is DrcrCase.DEGENERATED and p is None
+        assert case is DrcrCase.DEGENERATED and not case.trivial
+        assert p.links == (1, 2) and p.delay == 10  # the min-cost path
 
     def test_case_4(self):
         net = load_network("0,s,t,9,1,\n1,s,a,1,5,\n2,a,t,1,5,\n")
