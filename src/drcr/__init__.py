@@ -5,7 +5,7 @@ from .graph import (
     Link,
     Network,
     Path,
-    Srlg,
+    SolveStats,
     dump_network,
     is_elementary,
     load_network,
@@ -15,16 +15,13 @@ from .pulse import (
     DrcrCase,
     DrcrQuery,
     PulseOptions,
-    SearchStats,
     classify_case,
     pulse_plus,
     solve_drcr,
 )
 from .costfn import CostFunction, compute_cost_functions
 from .ksp import (
-    KspStats,
     LambdaResult,
-    WeightFn,
     choose_lambda,
     cost_ksp_drcr,
     delay_ksp_drcr,
@@ -34,8 +31,6 @@ from .ksp import (
     yen_ksp,
 )
 from .srlg import (
-    ConflictSet,
-    CoseStats,
     PathPair,
     SrlgDrcrQuery,
     SubInstance,

@@ -22,9 +22,25 @@ from .srlg import SrlgDrcrQuery, cose_pulse_plus
 from .testgen import GenConfig, GenerationError, gen_drcr_query, \
     gen_er_network, gen_srlg_query
 
-DRCR_ALGOS = ("pulse+", "cost-ksp", "delay-ksp", "lagrangian-ksp")
-SRLG_ALGOS = ("cose-pulse+", "srlg-cost-ksp", "srlg-delay-ksp",
-              "srlg-lagrangian-ksp")
+# algo -> solver(net, query, opts), which returns (answer, SolveStats): the
+# first four answer DRCR queries with a Path, the rest Srlg pair queries
+# with a PathPair
+SOLVERS = {
+    "pulse+": solve_drcr,
+    "cost-ksp": lambda net, q, o: cost_ksp_drcr(net, q, o.time_limit),
+    "delay-ksp": lambda net, q, o: delay_ksp_drcr(net, q, o.time_limit),
+    "lagrangian-ksp":
+        lambda net, q, o: lagrangian_ksp_drcr(net, q, o.time_limit),
+    "cose-pulse+": lambda net, q, o: cose_pulse_plus(net, q, o.time_limit),
+    "srlg-cost-ksp":
+        lambda net, q, o: srlg_ksp_drcr(net, q, "cost", o.time_limit),
+    "srlg-delay-ksp":
+        lambda net, q, o: srlg_ksp_drcr(net, q, "delay", o.time_limit),
+    "srlg-lagrangian-ksp":
+        lambda net, q, o: srlg_lagrangian_ksp(net, q, o.time_limit),
+}
+DRCR_ALGOS = tuple(SOLVERS)[:4]
+SRLG_ALGOS = tuple(SOLVERS)[4:]
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -90,37 +106,22 @@ def _load_queries(path: str, srlg: bool):
     return out
 
 
-def _solve_one(net, q, algo: str, opts: PulseOptions,
-               limit: Optional[float]) -> dict:
+def _solve_one(net, q, algo: str, opts: PulseOptions) -> dict:
+    answer, stats = SOLVERS[algo](net, q, opts)
     rec: dict = {"algo": algo}
     if algo == "pulse+":
-        path, stats = solve_drcr(net, q, opts)
         rec.update(ldf=opts.ldf, joint_pruning=opts.joint_pruning)
-        if stats.lambda_value is not None:  # the Lagrangian cut ran
-            rec["lambda"] = stats.lambda_value
-        if opts.joint_pruning:
-            rec["cf_build_us"] = stats.cf_build_us
     elif algo == "cose-pulse+":
-        pair, stats = cose_pulse_plus(net, q, time_limit=limit)
         rec.update(conflict_sets_found=len(stats.conflict_sets),
                    subinstances=stats.subinstances)
-    else:
-        if algo in SRLG_ALGOS:
-            if algo == "srlg-lagrangian-ksp":
-                pair, stats = srlg_lagrangian_ksp(net, q, limit)
-            else:
-                order = "cost" if algo == "srlg-cost-ksp" else "delay"
-                pair, stats = srlg_ksp_drcr(net, q, order, limit)
-        else:
-            fn = {"cost-ksp": cost_ksp_drcr, "delay-ksp": delay_ksp_drcr,
-                  "lagrangian-ksp": lagrangian_ksp_drcr}[algo]
-            path, stats = fn(net, q, limit)
-        rec["ksp_iterations"] = stats.iterations
-        if stats.lambda_value is not None:
-            rec["lambda"] = stats.lambda_value
+    if stats.lambda_value is not None:
+        rec["lambda"] = stats.lambda_value
+    if algo == "pulse+" and opts.joint_pruning:
+        rec["cf_build_us"] = stats.cf_build_us
+    path = answer
     if algo in SRLG_ALGOS:
-        path = pair.active if pair else None
-        rec["backup_path"] = list(pair.backup.links) if pair else None
+        path = answer.active if answer else None
+        rec["backup_path"] = list(answer.backup.links) if answer else None
     rec.update(status=stats.status, iterations=stats.iterations,
                elapsed_us=stats.elapsed_us, timeout_phase=stats.timeout_phase)
     if path is not None:
@@ -143,7 +144,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         for q in queries:
-            rec = _solve_one(net, q, args.algo, opts, limit)
+            rec = _solve_one(net, q, args.algo, opts)
             rec["graph"] = graph_name
             rec["time_limit_us"] = limit_us
             out.write(json.dumps(rec) + "\n")

@@ -3,8 +3,8 @@
 Links carry integer delay/cost values plus Srlg memberships.  Delays and
 costs are unsigned integers, and the delay and cost totals over all links
 stay below 2^53, so tree distances, which are float64, are exact integers
-and pruning comparisons are exact; only the Lagrangian weights in
-:mod:`drcr.ksp` are fractional.
+and pruning comparisons are exact; only the Lagrangian weights
+(:func:`lagrangian_weights`) are fractional.
 
 Graph files are UTF-8 edge lists, one link per line::
 
@@ -22,7 +22,7 @@ import time
 import warnings
 from collections import OrderedDict
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
 from typing import Callable, Iterable, Optional
@@ -73,7 +73,34 @@ class Deadline:
         return True
 
 
-def finish(stats, deadline: Deadline, status: str):
+@dataclass
+class SolveStats:
+    """What every solver returns with its answer.
+
+    ``status`` is ``optimal`` or ``infeasible`` only when proven, and
+    ``timeout`` once the deadline passed, with ``timeout_phase`` naming the
+    layer that found it; ``budget`` appears only between the phases of a
+    joint-pruning search.  ``elapsed_us`` is the wall time of the whole call.
+    Fields a solver has no use for keep their defaults: ``searched_fraction``,
+    ``best_cost_trace`` (``(iteration, cost)`` per improvement) and
+    ``cf_build_us`` belong to the Pulse+ searches, ``lambda_value`` to a
+    solve that used a Lagrangian multiplier, ``subinstances`` and
+    ``conflict_sets`` (sets of Srlg ids) to the Srlg pair solver.
+    """
+
+    status: str = "infeasible"
+    iterations: int = 0
+    searched_fraction: float = 0.0
+    best_cost_trace: list[tuple[int, int]] = field(default_factory=list)
+    elapsed_us: int = 0
+    timeout_phase: Optional[str] = None
+    lambda_value: Optional[float] = None
+    cf_build_us: int = 0
+    subinstances: int = 0
+    conflict_sets: list[frozenset[int]] = field(default_factory=list)
+
+
+def finish(stats: SolveStats, deadline: Deadline, status: str) -> SolveStats:
     """Stamp a solve's ``status`` (``timeout`` once ``deadline`` expired),
     ``timeout_phase`` and whole-call ``elapsed_us``; return ``stats``."""
     stats.status = status if deadline.phase is None else "timeout"
@@ -92,12 +119,6 @@ class Link:
     delay: int
     cost: int
     srlgs: frozenset[int] = frozenset()
-
-
-@dataclass(frozen=True)
-class Srlg:
-    id: int
-    links: frozenset[int]
 
 
 def _total(column: np.ndarray) -> int:
@@ -130,9 +151,9 @@ class Network:
     adjacency the solvers walk: rows of the links leaving and entering
     ``u``, built from the columns on first use.  Dijkstra reads the same
     links as a CSR matrix per direction (:meth:`matrix`).  ``srlgs`` maps
-    Srlg id to the set of member links, the inverted ``link_srlgs``.  The
-    network also caches the ``TREE_CACHE_SIZE`` destination trees on all
-    its links that it used last: delay and cost trees
+    each Srlg id to the frozenset of its member links, the inverted
+    ``link_srlgs``.  The network also caches the ``TREE_CACHE_SIZE``
+    destination trees on all its links that it used last: delay and cost trees
     (:func:`build_reverse_tree`), about 160 KB each at 4000 nodes, and
     Lagrangian distances (:func:`lagrangian_dist`), about 110 KB each, plus
     the largest-delay-first order the searches kept on each delay tree
@@ -147,7 +168,7 @@ class Network:
     node_names: list[str]
     table: np.ndarray
     link_srlgs: dict[int, frozenset[int]]
-    srlgs: dict[int, Srlg]
+    srlgs: dict[int, frozenset[int]]
 
     def __post_init__(self):
         self.src, self.dst, self.delay, self.cost = self.table
@@ -213,7 +234,7 @@ class Network:
         ids = ids[order]
         members = np.repeat(lids, sizes)[order].tolist()
         starts = np.flatnonzero(np.diff(ids, prepend=-1)).tolist()
-        srlgs = {r: Srlg(r, frozenset(members[a:b])) for r, a, b
+        srlgs = {r: frozenset(members[a:b]) for r, a, b
                  in zip(ids[starts].tolist(), starts, starts[1:] + [len(ids)])}
         return cls(num_nodes, node_names, table, by_link, srlgs)
 
@@ -543,6 +564,11 @@ def trees_cached(net: Network, t: int) -> bool:
     return (t, "delay") in net._trees and (t, "cost") in net._trees
 
 
+def lagrangian_weights(net: Network, lam: float) -> np.ndarray:
+    """Per-link ``cost + lam * delay`` as float64, indexed by link id."""
+    return net.weights("cost") + lam * net.weights("delay")
+
+
 def lagrangian_dist(net: Network, t: int, lam: float,
                     deadline: Optional[Deadline] = None) -> list[float]:
     """``dist[u]``, the least ``cost + lam * delay`` over all u->t paths.
@@ -552,8 +578,8 @@ def lagrangian_dist(net: Network, t: int, lam: float,
     are kept: no predecessors or weights, so no path can be derived.
     """
     def build() -> list[float]:
-        weights = net.weights("cost") + lam * net.weights("delay")
-        return dijkstra(net, t, weights, reverse=True, deadline=deadline).dist
+        return dijkstra(net, t, lagrangian_weights(net, lam), reverse=True,
+                        deadline=deadline).dist
 
     return _cached(net, (t, "lagrangian", lam), build, deadline)
 

@@ -1,11 +1,12 @@
 """K-shortest-paths baselines for DRCR and the Srlg-disjoint pair problem.
 
 All five solvers enumerate loopless paths in non-decreasing weight with
-Yen's algorithm and differ only in the weight function and the stopping
-rule.  The Lagrangian variants combine cost and delay into
-``w(e) = c(e) + lambda * d(e)`` with a dual-optimal multiplier chosen by
-bisection, which typically terminates the enumeration far earlier than a
-single-metric ordering.
+Yen's algorithm and differ only in the per-link weights and the stopping
+rule.  The cost and delay orders use the network's own weight arrays; the
+Lagrangian variants combine cost and delay into ``w(e) = c(e) + lambda *
+d(e)`` (:func:`drcr.graph.lagrangian_weights`) with a dual-optimal
+multiplier chosen by bisection, which typically terminates the enumeration
+far earlier than a single-metric ordering.
 """
 
 from __future__ import annotations
@@ -16,65 +17,20 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .graph import INF, Deadline, Network, Path, check_endpoints, dijkstra, \
-    finish
+from .graph import INF, Deadline, Network, Path, SolveStats, \
+    check_endpoints, dijkstra, finish, lagrangian_weights
 from .pulse import DrcrCase, DrcrQuery, classify_case
 from .srlg import PathPair, SrlgDrcrQuery, backup_search
 
 
-@dataclass(frozen=True)
-class WeightFn:
-    """Link weight selector: pure cost, pure delay, or cost + lambda * delay."""
-
-    kind: str  # "cost" | "delay" | "lagrangian"
-    lam: float = 0.0
-
-    @classmethod
-    def cost(cls) -> "WeightFn":
-        return cls("cost")
-
-    @classmethod
-    def delay(cls) -> "WeightFn":
-        return cls("delay")
-
-    @classmethod
-    def lagrangian(cls, lam: float) -> "WeightFn":
-        return cls("lagrangian", lam)
-
-    def link_weights(self, net: Network) -> np.ndarray:
-        """Per-link float64 weights; the cost and delay arrays are the
-        network's own."""
-        if self.kind in ("cost", "delay"):
-            return net.weights(self.kind)
-        if self.kind == "lagrangian":
-            return net.weights("cost") + self.lam * net.weights("delay")
-        raise ValueError(f"unknown weight kind {self.kind!r}")
-
-    def path_weight(self, p: Path) -> float:
-        if self.kind == "cost":
-            return p.cost
-        if self.kind == "delay":
-            return p.delay
-        return p.cost + self.lam * p.delay
-
-
-@dataclass
-class KspStats:
-    status: str = "infeasible"  # optimal | infeasible | timeout
-    iterations: int = 0
-    lambda_value: Optional[float] = None
-    elapsed_us: int = 0
-    timeout_phase: Optional[str] = None  # the layer that found the limit passed
-
-
-def yen_ksp(net: Network, s: int, t: int, w: WeightFn,
+def yen_ksp(net: Network, s: int, t: int, weights: np.ndarray,
             deadline: Optional[Deadline] = None) -> Iterator[Path]:
-    """Loopless s->t paths in non-decreasing weight, lazily.
+    """Loopless s->t paths in non-decreasing total of the float64 per-link
+    ``weights`` (indexed by link id), lazily.
 
     Multigraph-aware: spur bans remove the specific deviating links, not the
     whole node pair, so parallel links yield distinct paths.
     """
-    weights = w.link_weights(net)
     if (weights < -1e-12).any():
         raise ValueError("negative link weight")
     ingress = net.ingress
@@ -112,12 +68,12 @@ def yen_ksp(net: Network, s: int, t: int, w: WeightFn,
 
 def cost_ksp_drcr(net: Network, q: DrcrQuery,
                   time_limit: Optional[float] = None,
-                  ) -> tuple[Optional[Path], KspStats]:
+                  ) -> tuple[Optional[Path], SolveStats]:
     """First delay-range-feasible path in cost order is optimal."""
     check_endpoints(net, q.src, q.dst)
-    stats = KspStats()
+    stats = SolveStats()
     deadline = Deadline(time_limit)
-    for path in yen_ksp(net, q.src, q.dst, WeightFn.cost(), deadline):
+    for path in yen_ksp(net, q.src, q.dst, net.weights("cost"), deadline):
         stats.iterations += 1
         if q.L <= path.delay <= q.U:
             return path, finish(stats, deadline, "optimal")
@@ -126,13 +82,13 @@ def cost_ksp_drcr(net: Network, q: DrcrQuery,
 
 def delay_ksp_drcr(net: Network, q: DrcrQuery,
                    time_limit: Optional[float] = None,
-                   ) -> tuple[Optional[Path], KspStats]:
+                   ) -> tuple[Optional[Path], SolveStats]:
     """Enumerate in delay order up to U, keep the cheapest in-range path."""
     check_endpoints(net, q.src, q.dst)
-    stats = KspStats()
+    stats = SolveStats()
     deadline = Deadline(time_limit)
     best: Optional[Path] = None
-    for path in yen_ksp(net, q.src, q.dst, WeightFn.delay(), deadline):
+    for path in yen_ksp(net, q.src, q.dst, net.weights("delay"), deadline):
         stats.iterations += 1
         if path.delay > q.U:
             break
@@ -168,7 +124,7 @@ def _min_weight_delay(net: Network, s: int, t: int, lam: float,
                       deadline: Optional[Deadline] = None,
                       ) -> tuple[float, int]:
     """Weight and delay of a min-(c + lam*d)-weight s->t path."""
-    weights = WeightFn.lagrangian(lam).link_weights(net)
+    weights = lagrangian_weights(net, lam)
     path = dijkstra(net, s, weights, deadline=deadline).path_from(net, t)
     if path is None:
         return INF, 0
@@ -256,14 +212,14 @@ _STOP_SLACK = 1e-9
 
 def lagrangian_ksp_drcr(net: Network, q: DrcrQuery,
                         time_limit: Optional[float] = None,
-                        ) -> tuple[Optional[Path], KspStats]:
+                        ) -> tuple[Optional[Path], SolveStats]:
     """Enumerate in dual-weight order, stop once no cheaper path can follow.
 
     A path of weight w costs at least w - max{lambda*L, lambda*U} if its
     delay is in range, so the enumeration halts as soon as the next weight
     reaches incumbent_cost + max{lambda*L, lambda*U}.
     """
-    stats = KspStats()
+    stats = SolveStats()
     deadline = Deadline(time_limit)
     case, min_cost = classify_case(net, q, deadline)  # checks the endpoints
     if deadline.phase is not None:
@@ -277,12 +233,13 @@ def lagrangian_ksp_drcr(net: Network, q: DrcrQuery,
     if deadline.phase is not None:  # a bisection cut short chose nothing
         return None, finish(stats, deadline, "timeout")
     stats.lambda_value = lam
-    w = WeightFn.lagrangian(lam)
     offset = max(lam * q.L, lam * q.U)
     best: Optional[Path] = None
-    for path in yen_ksp(net, q.src, q.dst, w, deadline):
+    for path in yen_ksp(net, q.src, q.dst, lagrangian_weights(net, lam),
+                        deadline):
         stats.iterations += 1
-        if best is not None and w.path_weight(path) >= best.cost + offset + _STOP_SLACK:
+        if best is not None and path.cost + lam * path.delay \
+                >= best.cost + offset + _STOP_SLACK:
             break
         if q.L <= path.delay <= q.U and (best is None or path.cost < best.cost):
             best = path
@@ -291,7 +248,7 @@ def lagrangian_ksp_drcr(net: Network, q: DrcrQuery,
 
 def srlg_ksp_drcr(net: Network, q: SrlgDrcrQuery, order: str = "cost",
                   time_limit: Optional[float] = None,
-                  ) -> tuple[Optional[PathPair], KspStats]:
+                  ) -> tuple[Optional[PathPair], SolveStats]:
     """Enumerate actives in cost (or delay) order; keep the cheapest that
     admits a backup.
 
@@ -302,12 +259,11 @@ def srlg_ksp_drcr(net: Network, q: SrlgDrcrQuery, order: str = "cost",
     if order not in ("cost", "delay"):
         raise ValueError(f"unknown enumeration order {order!r}")
     check_endpoints(net, q.src, q.dst)
-    stats = KspStats()
+    stats = SolveStats()
     deadline = Deadline(time_limit)
-    w = WeightFn.cost() if order == "cost" else WeightFn.delay()
     best: Optional[PathPair] = None
     # A backup search that times out ends the enumeration at its next spur.
-    for active in yen_ksp(net, q.src, q.dst, w, deadline):
+    for active in yen_ksp(net, q.src, q.dst, net.weights(order), deadline):
         stats.iterations += 1
         if active.delay > q.U:
             if order == "delay":
@@ -325,7 +281,7 @@ def srlg_ksp_drcr(net: Network, q: SrlgDrcrQuery, order: str = "cost",
 
 def srlg_lagrangian_ksp(net: Network, q: SrlgDrcrQuery,
                         time_limit: Optional[float] = None,
-                        ) -> tuple[Optional[PathPair], KspStats]:
+                        ) -> tuple[Optional[PathPair], SolveStats]:
     """Dual-ordered active enumeration with deferred backup checks.
 
     Delay-feasible actives are parked in a cost-keyed heap; a backup search
@@ -333,7 +289,7 @@ def srlg_lagrangian_ksp(net: Network, q: SrlgDrcrQuery,
     outstanding (its cost plus lambda*U is at most the next dual weight).
     """
     check_endpoints(net, q.src, q.dst)
-    stats = KspStats()
+    stats = SolveStats()
     deadline = Deadline(time_limit)
     big = int(net.cost.sum()) + 1.0
     w0, d0 = _min_weight_delay(net, q.src, q.dst, 0.0, deadline)
@@ -347,13 +303,12 @@ def srlg_lagrangian_ksp(net: Network, q: SrlgDrcrQuery,
         if deadline.phase is not None:  # cut short: no multiplier chosen
             return None, finish(stats, deadline, "timeout")
     stats.lambda_value = lam
-    w = WeightFn.lagrangian(lam)
-    gen = yen_ksp(net, q.src, q.dst, w, deadline)
+    gen = yen_ksp(net, q.src, q.dst, lagrangian_weights(net, lam), deadline)
     heap: list[tuple[int, int, Path]] = []
     counter = 0
     nxt: Optional[Path] = next(gen, None)
     while True:
-        nxt_w = None if nxt is None else w.path_weight(nxt)
+        nxt_w = None if nxt is None else nxt.cost + lam * nxt.delay
         while heap and deadline.phase is None and (
                 nxt_w is None or heap[0][0] + lam * q.U <= nxt_w + _STOP_SLACK):
             _cost, _n, active = heapq.heappop(heap)

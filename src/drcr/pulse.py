@@ -18,7 +18,7 @@ import math
 import sys
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -28,6 +28,7 @@ from .graph import (
     Network,
     Path,
     ShortestTree,
+    SolveStats,
     build_reverse_tree,
     check_endpoints,
     finish,
@@ -86,19 +87,6 @@ class PulseOptions:
     ldf: bool = True
     joint_pruning: bool = False
     time_limit: Optional[float] = None
-
-
-@dataclass
-class SearchStats:
-    # optimal | infeasible | timeout; "budget" only between pulse_plus phases
-    status: str = "infeasible"
-    iterations: int = 0
-    searched_fraction: float = 0.0
-    best_cost_trace: list[tuple[int, int]] = field(default_factory=list)
-    elapsed_us: int = 0
-    cf_build_us: int = 0
-    timeout_phase: Optional[str] = None  # the layer that found the limit passed
-    lambda_value: Optional[float] = None  # the Lagrangian cut's, if one ran
 
 
 def dst_trees(net: Network, q: DrcrQuery,
@@ -173,7 +161,7 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
                      conflict_masks: Sequence[int] = (),
                      disabled: Optional[set[int]] = None,
                      max_iterations: int = sys.maxsize,
-                     ) -> tuple[Optional[Path], SearchStats]:
+                     ) -> tuple[Optional[Path], SolveStats]:
     """The one depth-first search, shared by every solver in the package.
 
     A destination hit with delay in ``[L, U]`` and cost below the incumbent
@@ -339,18 +327,18 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
         for to, d_e, c_e, elid in kids:
             push((to, dly + d_e, cst + c_e, depth, elid, child_s3))
     status = stopped or ("infeasible" if best is None else "optimal")
-    stats = SearchStats(status, iterations, min(searched, 1.0 + 1e-9), trace)
+    stats = SolveStats(status, iterations, min(searched, 1.0 + 1e-9), trace)
     return best, stats
 
 
 def _search(net: Network, q: DrcrQuery, opts: PulseOptions, deadline: Deadline,
             lagrangian: Optional[tuple[float, list[float]]] = None,
-            ) -> tuple[Optional[Path], SearchStats]:
+            ) -> tuple[Optional[Path], SolveStats]:
     """The search phases of :func:`pulse_plus`, tree builds included;
     ``lagrangian`` goes to :func:`run_pulse_search`."""
     delay_tree, cost_tree = dst_trees(net, q, deadline)
 
-    def search(**kwargs) -> tuple[Optional[Path], SearchStats]:
+    def search(**kwargs) -> tuple[Optional[Path], SolveStats]:
         return run_pulse_search(
             net, q.src, q.dst, q.L, q.U, delay_tree, cost_tree.dist,
             ldf=opts.ldf, lagrangian=lagrangian, deadline=deadline, **kwargs)
@@ -381,7 +369,7 @@ def _search(net: Network, q: DrcrQuery, opts: PulseOptions, deadline: Deadline,
 
 def pulse_plus(net: Network, q: DrcrQuery,
                opts: Optional[PulseOptions] = None,
-               ) -> tuple[Optional[Path], SearchStats]:
+               ) -> tuple[Optional[Path], SolveStats]:
     """Solve a DRCR query to optimality (or prove infeasibility).
 
     With ``opts.joint_pruning`` the plain-cut search runs first under
@@ -431,7 +419,7 @@ def lagrangian_cut(net: Network, q: DrcrQuery, min_cost: Path,
 
 def solve_drcr(net: Network, q: DrcrQuery,
                opts: Optional[PulseOptions] = None,
-               ) -> tuple[Optional[Path], SearchStats]:
+               ) -> tuple[Optional[Path], SolveStats]:
     """Case-classify then dispatch: trivial cases bypass the search.
 
     A query whose ``U`` binds (cases 2 and 4) to a destination whose two
@@ -445,10 +433,10 @@ def solve_drcr(net: Network, q: DrcrQuery,
     deadline = Deadline(opts.time_limit)
     repeat = trees_cached(net, q.dst)
     case, min_cost = classify_case(net, q, deadline)
-    path, stats = None, SearchStats()
+    path, stats = None, SolveStats()
     if deadline.phase is None:
         if case.trivial:
-            path, stats = min_cost, SearchStats(
+            path, stats = min_cost, SolveStats(
                 status="optimal", searched_fraction=1.0,
                 best_cost_trace=[(0, min_cost.cost)])
         elif case is not DrcrCase.INFEASIBLE:

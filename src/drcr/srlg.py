@@ -14,7 +14,7 @@ incumbent.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .graph import (
@@ -22,6 +22,7 @@ from .graph import (
     Deadline,
     Network,
     Path,
+    SolveStats,
     build_reverse_tree,
     check_endpoints,
     finish,
@@ -56,11 +57,6 @@ class SubInstance:
 
 
 @dataclass(frozen=True)
-class ConflictSet:
-    srlgs: frozenset[int]
-
-
-@dataclass(frozen=True)
 class PathPair:
     active: Path
     backup: Path
@@ -77,16 +73,6 @@ class PathPair:
         return a.delay - delta <= b.delay <= min(U, a.delay + delta)
 
 
-@dataclass
-class CoseStats:
-    status: str = "infeasible"
-    subinstances: int = 0
-    iterations: int = 0  # active, backup and conflict-set searches together
-    elapsed_us: int = 0
-    conflict_sets: list["ConflictSet"] = field(default_factory=list)
-    timeout_phase: Optional[str] = None  # the layer that found the limit passed
-
-
 def _links_of_srlgs(net: Network, srlg_ids) -> set[int]:
     """Resolve extended Srlg ids to their member links."""
     out: set[int] = set()
@@ -94,13 +80,13 @@ def _links_of_srlgs(net: Network, srlg_ids) -> set[int]:
         if r < 0:
             out.add(-r - 1)
         else:
-            out |= net.srlgs[r].links
+            out |= net.srlgs[r]
     return out
 
 
 def backup_search(net: Network, active: Path, U: int, delta: int,
                   deadline: Optional[Deadline] = None,
-                  stats: Optional[CoseStats] = None) -> Optional[Path]:
+                  stats: Optional[SolveStats] = None) -> Optional[Path]:
     """First feasible Srlg-disjoint companion for ``active``, or None.
 
     Runs on the subgraph with every link of the active path's Srlgs removed,
@@ -128,12 +114,13 @@ def backup_search(net: Network, active: Path, U: int, delta: int,
 def find_conflict_set(net: Network, active: Path, U: int,
                       pick: str = "largest",
                       deadline: Optional[Deadline] = None,
-                      stats: Optional[CoseStats] = None) -> Optional[ConflictSet]:
+                      stats: Optional[SolveStats] = None,
+                      ) -> Optional[frozenset[int]]:
     """DFS over U-feasible paths, knocking out one shared Srlg per hit.
 
     Returns None as soon as an Srlg-disjoint U-feasible path shows up (no
     conflict set exists for ``active`` under the U-only relaxation).  If the
-    search drains, the collected Srlgs are a certified conflict set: any
+    search drains, the collected Srlg ids are a certified conflict set: any
     path carrying all of them has no disjoint U-feasible companion.
 
     ``pick`` selects the shared Srlg per hit: ``largest`` takes the group
@@ -154,7 +141,7 @@ def find_conflict_set(net: Network, active: Path, U: int,
         if not inter:
             return True
         r = _pick_srlg(net, active, inter, pick)
-        disabled.update(net.srlgs[r].links)
+        disabled.update(net.srlgs[r])
         found.append(r)
         return False
 
@@ -166,7 +153,7 @@ def find_conflict_set(net: Network, active: Path, U: int,
         stats.iterations += search.iterations
     if companion is not None or deadline.phase is not None:
         return None
-    return ConflictSet(frozenset(found))
+    return frozenset(found)
 
 
 def _pick_srlg(net: Network, active: Path, candidates: set[int], pick: str) -> int:
@@ -178,15 +165,15 @@ def _pick_srlg(net: Network, active: Path, candidates: set[int], pick: str) -> i
                 break
     elif pick != "largest":
         raise ValueError(f"unknown Srlg pick strategy {pick!r}")
-    return max(candidates, key=lambda r: (len(net.srlgs[r].links), -r))
+    return max(candidates, key=lambda r: (len(net.srlgs[r]), -r))
 
 
 def ap_pulse_plus(net: Network, src: int, dst: int, U: int,
                   instance: SubInstance,
-                  conflicts: list[ConflictSet],
+                  conflicts: list[frozenset[int]],
                   tmp_min: float = INF,
                   deadline: Optional[Deadline] = None,
-                  stats: Optional[CoseStats] = None) -> Optional[Path]:
+                  stats: Optional[SolveStats] = None) -> Optional[Path]:
     """Min-cost active-path search under include/exclude/conflict constraints.
 
     Exclusions are applied up front by disabling their links.  So are the
@@ -219,7 +206,7 @@ def ap_pulse_plus(net: Network, src: int, dst: int, U: int,
     # tracked on partial paths; everything else cannot change a verdict.
     universe: set[int] = set(instance.include)
     for cs in conflicts:
-        universe |= cs.srlgs
+        universe |= cs
     bit_of = {r: i for i, r in enumerate(sorted(universe))}
     link_masks = [0] * len(net.links) if bit_of else None
     for r, bit in bit_of.items():
@@ -231,7 +218,7 @@ def ap_pulse_plus(net: Network, src: int, dst: int, U: int,
     conflict_masks = []
     for cs in conflicts:
         m = 0
-        for r in cs.srlgs:
+        for r in cs:
             m |= 1 << bit_of[r]
         conflict_masks.append(m)
 
@@ -253,7 +240,7 @@ def cose_pulse_plus(net: Network, q: SrlgDrcrQuery,
                     time_limit: Optional[float] = None,
                     first_pair: bool = False,
                     pick: str = "largest",
-                    ) -> tuple[Optional[PathPair], CoseStats]:
+                    ) -> tuple[Optional[PathPair], SolveStats]:
     """Conflict-Srlg-exclusion divide-and-conquer over sub-instances.
 
     Sub-instances are solved best-first, keyed by their parent's active
@@ -264,14 +251,16 @@ def cose_pulse_plus(net: Network, q: SrlgDrcrQuery,
     at the first feasible pair (feasibility testing, e.g. trap
     classification) instead of driving the active cost to the proven
     minimum.  Once ``time_limit`` (seconds) passes, the status is
-    ``timeout`` and the pair the best found, if any.
+    ``timeout`` and the pair the best found, if any.  ``iterations`` counts
+    the active, backup and conflict-set searches together.
     """
     check_endpoints(net, q.src, q.dst)
-    stats = CoseStats()
+    stats = SolveStats()
     deadline = Deadline(time_limit)
     # entry: (lower bound on the active cost, insertion number, sub-instance)
-    queue = [(0, 0, SubInstance(frozenset(), frozenset()))]
-    seen = {(frozenset(), frozenset())}
+    root = SubInstance(frozenset(), frozenset())
+    queue = [(0, 0, root)]
+    seen = {root}
     tmp_min: float = INF
     best: Optional[PathPair] = None
     # A layer that times out sets deadline.phase; later layers return at
@@ -296,16 +285,15 @@ def cose_pulse_plus(net: Network, q: SrlgDrcrQuery,
             continue
         if cs is not None:
             stats.conflict_sets.append(cs)
-            branch = sorted(r for r in cs.srlgs if r not in inst.include)
+            branch = sorted(r for r in cs if r not in inst.include)
         else:
             branch = [-(lid + 1) for lid in active.links
                       if -(lid + 1) not in inst.include]
         for i, r in enumerate(branch):
             child = SubInstance(inst.include | frozenset(branch[:i]),
                                 inst.exclude | {r})
-            key = (child.include, child.exclude)
-            if key not in seen:
-                seen.add(key)
+            if child not in seen:
+                seen.add(child)
                 heapq.heappush(queue, (active.cost, len(seen), child))
     return best, finish(stats, deadline,
                         "optimal" if best is not None else "infeasible")

@@ -176,7 +176,7 @@ def test_criterion_4_conflict_sets_all_valid(srlg_runs):
     for net, q, _expect, _pair, stats in srlg_runs:
         for cs in stats.conflict_sets:
             checked += 1
-            bad += not verify_conflict_set(net, q, cs.srlgs)
+            bad += not verify_conflict_set(net, q, cs)
     report(4, bad == 0,
            f"{checked} emitted conflict sets verified, {bad} invalid")
 

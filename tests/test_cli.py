@@ -4,7 +4,7 @@ import math
 import pytest
 
 from conftest import G1_TEXT, G3B_TEXT
-from drcr.cli import main, nearest_rank
+from drcr.cli import DRCR_ALGOS, SRLG_ALGOS, main, nearest_rank
 
 
 def write(path, text):
@@ -73,6 +73,24 @@ class TestSolve:
         for r in recs:
             assert r["algo"] == algo and r["graph"] == "graph.txt"
             assert r["timeout_phase"] is None
+
+    @pytest.mark.parametrize("algo", DRCR_ALGOS + SRLG_ALGOS)
+    def test_record_keys(self, g1_files, tmp_path, algo):
+        graph, queries = g1_files
+        if algo in SRLG_ALGOS:
+            graph = write(tmp_path / "g3b.txt", G3B_TEXT)
+            queries = write(tmp_path / "q.jsonl", json.dumps(
+                {"src": 0, "dst": 3, "U": 10, "delta": 4}) + "\n")
+        out = tmp_path / "res.jsonl"
+        assert main(["solve", "--graph", graph, "--queries", queries,
+                     "--algo", algo, "--out", str(out)]) == 0
+        recs = [json.loads(l) for l in out.read_text().splitlines()]
+        assert recs
+        for r in recs:
+            assert {"status", "iterations", "elapsed_us", "timeout_phase",
+                    "cost", "delay", "path"} <= r.keys()
+            assert ("backup_path" in r) == (algo in SRLG_ALGOS)
+            assert "ksp_iterations" not in r
 
     def test_srlg_algo(self, tmp_path):
         graph = write(tmp_path / "g3b.txt", G3B_TEXT)

@@ -14,18 +14,21 @@ from drcr.graph import (
     Link,
     Network,
     Path,
+    SolveStats,
     TREE_CACHE_SIZE,
     build_forward_tree,
     build_reverse_tree,
     dijkstra,
     dump_network,
     is_elementary,
+    lagrangian_weights,
     load_network,
     srlgs_of_path,
 )
-from drcr.ksp import WeightFn, cost_ksp_drcr, delay_ksp_drcr, \
+from drcr.ksp import cost_ksp_drcr, delay_ksp_drcr, \
     lagrangian_ksp_drcr, srlg_ksp_drcr, srlg_lagrangian_ksp
-from drcr.pulse import DrcrQuery, PulseOptions, pulse_plus, solve_drcr
+from drcr.pulse import DrcrQuery, PulseOptions, pulse_plus, \
+    run_pulse_search, solve_drcr
 from drcr.srlg import SrlgDrcrQuery, cose_pulse_plus
 from oracle import brute_drcr
 
@@ -205,7 +208,7 @@ def test_lagrangian_rounding_below_zero_is_silent():
     # At lam = -mu, c + lam*d of the link with the least c/d can round to a
     # hair below zero: 7 - (7/25)*25 is -8.9e-16 in float64.
     net = Network.build(3, [0, 1], [1, 2], [25, 1], [7, 1])
-    weights = WeightFn.lagrangian(-(7 / 25)).link_weights(net)
+    weights = lagrangian_weights(net, -(7 / 25))
     assert weights[0] < 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -475,8 +478,7 @@ def test_loading_keeps_no_tracked_object_per_link():
 
 
 def test_srlg_index_inverted(g3a):
-    assert g3a.srlgs[0].links == {0, 3}
-    assert g3a.srlgs[1].links == {1, 2}
+    assert g3a.srlgs == {0: {0, 3}, 1: {1, 2}}
 
 
 def test_dump_load_roundtrip(g3b):
@@ -528,14 +530,34 @@ def srlg_query(src, dst):
     return SrlgDrcrQuery(src, dst, 10, 10)
 
 
-@pytest.mark.parametrize("solve, make", [
+ENTRY_POINTS = pytest.mark.parametrize("solve, make", [
     (solve_drcr, drcr_query), (pulse_plus, drcr_query),
     (cost_ksp_drcr, drcr_query), (delay_ksp_drcr, drcr_query),
     (lagrangian_ksp_drcr, drcr_query), (cose_pulse_plus, srlg_query),
     (srlg_ksp_drcr, srlg_query), (srlg_lagrangian_ksp, srlg_query),
 ], ids=lambda v: getattr(v, "__name__", ""))
+ENTRY_NET = "0,a,b,1,1,0\n1,b,c,1,1,1\n2,a,c,5,5,2\n"
+
+
+@ENTRY_POINTS
 @pytest.mark.parametrize("src, dst", [(-1, 2), (3, 2), (0, -1), (0, 3)])
 def test_entry_points_reject_out_of_range_endpoints(solve, make, src, dst):
-    net = load_network("0,a,b,1,1,0\n1,b,c,1,1,1\n2,a,c,5,5,2\n")
+    net = load_network(ENTRY_NET)
     with pytest.raises(ValueError, match="out of range"):
         solve(net, make(src, dst))
+
+
+@ENTRY_POINTS
+def test_entry_points_return_one_stats_record(solve, make):
+    answer, stats = solve(load_network(ENTRY_NET), make(0, 2))
+    assert answer is not None
+    assert type(stats) is SolveStats and stats.status == "optimal"
+
+
+def test_search_kernel_returns_one_stats_record():
+    net = load_network(ENTRY_NET)
+    path, stats = run_pulse_search(
+        net, 0, 2, 0, 10, build_reverse_tree(net, 2, "delay"),
+        build_reverse_tree(net, 2, "cost").dist)
+    assert path.cost == 2
+    assert type(stats) is SolveStats and stats.status == "optimal"

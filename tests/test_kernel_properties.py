@@ -25,7 +25,6 @@ from drcr.graph import (
 )
 from drcr.pulse import DrcrQuery, PulseOptions, run_pulse_search, solve_drcr
 from drcr.srlg import (
-    ConflictSet,
     SrlgDrcrQuery,
     SubInstance,
     ap_pulse_plus,
@@ -165,7 +164,7 @@ def test_forced_links_match_brute_force(data):
         exclude |= data.draw(st.sets(st.sampled_from(synthetic),
                                      max_size=2)) - include
     groups = synthetic + sorted(net.srlgs)
-    conflicts = [ConflictSet(frozenset(g)) for g in data.draw(st.lists(
+    conflicts = [frozenset(g) for g in data.draw(st.lists(
         st.sets(st.sampled_from(groups), min_size=1, max_size=2),
         max_size=2))] if groups else []
     tmp_min = data.draw(st.one_of(st.just(INF), st.integers(0, 15)))
@@ -173,7 +172,7 @@ def test_forced_links_match_brute_force(data):
     for p in paths:
         g = extended_groups(net, p)
         if p.delay <= U and include <= g and not exclude & g \
-                and not any(cs.srlgs <= g for cs in conflicts):
+                and not any(cs <= g for cs in conflicts):
             expect = min(expect, p.cost)
     inst = SubInstance(frozenset(include), frozenset(exclude))
     p = ap_pulse_plus(net, s, t, U, inst, conflicts, tmp_min)
@@ -207,7 +206,7 @@ def test_cose_matches_pair_oracle(data):
         else:
             assert stats.status == "optimal" and pair.active.cost == expect[0]
         for cs in stats.conflict_sets:
-            assert verify_conflict_set(net, q, cs.srlgs)
+            assert verify_conflict_set(net, q, cs)
 
 
 def assert_queue_bound(net, q):

@@ -4,9 +4,8 @@ import pytest
 import drcr.ksp
 import drcr.pulse
 from conftest import pair_instance, random_net
-from drcr.graph import Deadline, load_network
+from drcr.graph import Deadline, lagrangian_weights, load_network
 from drcr.ksp import (
-    WeightFn,
     choose_lambda,
     cost_ksp_drcr,
     delay_ksp_drcr,
@@ -27,38 +26,37 @@ def q(g, src, dst, L, U):
 class TestYen:
     def test_cost_order_on_diamond(self, g1):
         paths = list(yen_ksp(g1, g1.node_id("s"), g1.node_id("t"),
-                             WeightFn.cost()))
+                             g1.weights("cost")))
         assert [(p.cost, p.delay) for p in paths] == [(2, 2), (10, 4)]
 
     def test_delay_order_on_diamond(self, g1):
         paths = list(yen_ksp(g1, g1.node_id("s"), g1.node_id("t"),
-                             WeightFn.delay()))
+                             g1.weights("delay")))
         assert [p.delay for p in paths] == [2, 4]
 
     def test_disconnected_yields_nothing(self):
         net = load_network("0,a,b,1,1,\n0,c,d,1,1,\n".replace("0,c", "1,c"))
-        assert list(yen_ksp(net, 0, 3, WeightFn.cost())) == []
+        assert list(yen_ksp(net, 0, 3, net.weights("cost"))) == []
 
     def test_parallel_links_both_emitted(self):
         net = load_network("0,a,b,1,1,\n1,a,b,2,2,\n")
-        paths = list(yen_ksp(net, 0, 1, WeightFn.cost()))
+        paths = list(yen_ksp(net, 0, 1, net.weights("cost")))
         assert [p.links for p in paths] == [(0,), (1,)]
 
     def test_weights_non_decreasing_and_loopless(self):
         net = random_net(21, 8, 0.5)
-        w = WeightFn.lagrangian(0.7)
         prev = -1.0
-        paths = list(yen_ksp(net, 0, 7, w))
+        paths = list(yen_ksp(net, 0, 7, lagrangian_weights(net, 0.7)))
         for p in paths:
             assert len(set(p.nodes)) == len(p.nodes)
-            assert w.path_weight(p) >= prev - 1e-9
-            prev = w.path_weight(p)
+            assert p.cost + 0.7 * p.delay >= prev - 1e-9
+            prev = p.cost + 0.7 * p.delay
 
     def test_matches_brute_force_enumeration(self):
         net = random_net(22, 7, 0.5)
         expect = sorted(enumerate_elementary_paths(net, 0, 6),
                         key=lambda p: p.cost)
-        got = list(yen_ksp(net, 0, 6, WeightFn.cost()))
+        got = list(yen_ksp(net, 0, 6, net.weights("cost")))
         assert len(got) == len(expect)
         assert [p.cost for p in got] == [p.cost for p in expect]
         assert sorted(p.links for p in got) == sorted(p.links for p in expect)
@@ -133,7 +131,7 @@ class TestChooseLambda:
         net = random_net(32, 7, 0.6)
         ratios = [l.cost / l.delay for l in net.links if l.delay > 0]
         mu = min(ratios)
-        w = WeightFn.lagrangian(-mu).link_weights(net)
+        w = lagrangian_weights(net, -mu)
         assert min(w) >= -1e-9
 
 

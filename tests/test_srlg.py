@@ -4,7 +4,6 @@ import drcr.srlg
 from conftest import links_network, pair_instance
 from drcr.graph import Link, Network, Path, load_network, srlgs_of_path
 from drcr.srlg import (
-    ConflictSet,
     PathPair,
     SrlgDrcrQuery,
     SubInstance,
@@ -54,17 +53,17 @@ class TestConflictSet:
     def test_square_yields_singleton(self, g3a):
         active = Path.from_links(g3a, [0, 1])
         cs = find_conflict_set(g3a, active, U=10)
-        assert len(cs.srlgs) == 1
+        assert len(cs) == 1
         assert verify_conflict_set(
-            g3a, SrlgDrcrQuery(0, g3a.node_id("t"), 10, 10), cs.srlgs)
+            g3a, SrlgDrcrQuery(0, g3a.node_id("t"), 10, 10), cs)
 
     def test_trap_corridor_needs_two(self, g3b):
         active = Path.from_links(g3b, [0, 1, 3])
         cs = find_conflict_set(g3b, active, U=10)
-        assert cs.srlgs == {0, 1}
+        assert cs == {0, 1}
         assert verify_conflict_set(
             g3b, SrlgDrcrQuery(g3b.node_id("A"), g3b.node_id("F"), 10, 10),
-            cs.srlgs)
+            cs)
 
     def test_none_when_disjoint_backup_exists(self, diamond):
         active = Path.from_links(diamond, [0, 1])
@@ -76,14 +75,14 @@ class TestConflictSet:
         for pick in ("largest", "first-link"):
             cs = find_conflict_set(g3b, active, U=10, pick=pick)
             assert cs is not None
-            assert verify_conflict_set(g3b, q, cs.srlgs)
+            assert verify_conflict_set(g3b, q, cs)
 
     def test_lone_route_conflicts_with_itself(self):
         net = load_network("0,s,a,1,1,0\n1,a,t,1,1,0\n")
         active = Path.from_links(net, [0, 1])
         cs = find_conflict_set(net, active, U=10)
-        assert cs.srlgs == {0}
-        assert verify_conflict_set(net, SrlgDrcrQuery(0, 2, 10, 10), cs.srlgs)
+        assert cs == {0}
+        assert verify_conflict_set(net, SrlgDrcrQuery(0, 2, 10, 10), cs)
 
 
 class TestApSearch:
@@ -100,7 +99,7 @@ class TestApSearch:
     def test_conflict_pushes_to_second_cheapest(self, g1):
         # tag the cheap route's first link with a synthetic conflict
         empty = SubInstance(frozenset(), frozenset())
-        conflicts = [ConflictSet(frozenset({-1}))]  # link 0
+        conflicts = [frozenset({-1})]  # link 0
         p = ap_pulse_plus(g1, g1.node_id("s"), g1.node_id("t"), 10, empty,
                           conflicts)
         assert p.cost == 10
@@ -201,7 +200,7 @@ class TestIterationCount:
     @pytest.mark.parametrize("pick", ["largest", "first-link"])
     def test_counts_every_search(self, g3a, g3b, pick, monkeypatch):
         # active, backup and conflict-set searches all run through
-        # drcr.srlg.run_pulse_search; CoseStats.iterations is their sum
+        # drcr.srlg.run_pulse_search; the pair's iterations are their sum
         searched = []
         real = drcr.srlg.run_pulse_search
 

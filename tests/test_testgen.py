@@ -78,15 +78,15 @@ class TestSrlgs:
         cfg = GenConfig(n=60, p_mult=2, seed=9, srlg_size_range=(1, 40))
         net = gen_srlgs(gen_er_network(cfg), "nonstar", cfg)
         assert all(l.srlgs for l in net.links)
-        for srlg in net.srlgs.values():
-            assert 1 <= len(srlg.links) <= 40
+        for links in net.srlgs.values():
+            assert 1 <= len(links) <= 40
 
     def test_star_groups_share_source(self):
         cfg = GenConfig(n=60, p_mult=2, seed=9)
         net = gen_srlgs(gen_er_network(cfg), "star", cfg)
         assert net.srlgs
-        for srlg in net.srlgs.values():
-            srcs = {net.links[lid].src for lid in srlg.links}
+        for links in net.srlgs.values():
+            srcs = {net.links[lid].src for lid in links}
             assert len(srcs) == 1
 
     def test_deterministic(self):
