@@ -1,19 +1,23 @@
 """K-shortest-paths baselines for DRCR and the Srlg-disjoint pair problem.
 
-All five solvers enumerate loopless paths in non-decreasing weight with
-Yen's algorithm and differ only in the per-link weights and the stopping
-rule.  The cost and delay orders use the network's own weight arrays; the
-Lagrangian variants combine cost and delay into ``w(e) = c(e) + lambda *
-d(e)`` (:func:`drcr.graph.lagrangian_weights`) with a dual-optimal
-multiplier chosen by bisection, which typically terminates the enumeration
-far earlier than a single-metric ordering.
+All five solvers run one loop, :func:`_cheapest_first`: it draws loopless
+paths from Yen's algorithm in non-decreasing weight and releases the
+in-range paths cheapest first, each once no later path can cost less.  The
+solvers differ only in the order and in what a released path must pass.
+The cost and delay orders use the network's own weights; the Lagrangian
+variants combine cost and delay into ``w(e) = c(e) + lambda * d(e)``
+(:func:`drcr.graph.lagrangian_weights`) with a dual-optimal multiplier
+chosen by bisection, which typically releases far earlier than a
+single-metric order.  The pair solvers accept an active path only with a
+backup.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from itertools import chain
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -64,37 +68,6 @@ def yen_ksp(net: Network, s: int, t: int, weights: np.ndarray,
             root_w += weights[cur_links[i]]
         current = (Path.from_links(net, heapq.heappop(candidates)[1])
                    if candidates else None)
-
-
-def cost_ksp_drcr(net: Network, q: DrcrQuery,
-                  time_limit: Optional[float] = None,
-                  ) -> tuple[Optional[Path], SolveStats]:
-    """First delay-range-feasible path in cost order is optimal."""
-    check_endpoints(net, q.src, q.dst)
-    stats = SolveStats()
-    deadline = Deadline(time_limit)
-    for path in yen_ksp(net, q.src, q.dst, net.weights("cost"), deadline):
-        stats.iterations += 1
-        if q.L <= path.delay <= q.U:
-            return path, finish(stats, deadline, "optimal")
-    return None, finish(stats, deadline, "infeasible")
-
-
-def delay_ksp_drcr(net: Network, q: DrcrQuery,
-                   time_limit: Optional[float] = None,
-                   ) -> tuple[Optional[Path], SolveStats]:
-    """Enumerate in delay order up to U, keep the cheapest in-range path."""
-    check_endpoints(net, q.src, q.dst)
-    stats = SolveStats()
-    deadline = Deadline(time_limit)
-    best: Optional[Path] = None
-    for path in yen_ksp(net, q.src, q.dst, net.weights("delay"), deadline):
-        stats.iterations += 1
-        if path.delay > q.U:
-            break
-        if path.delay >= q.L and (best is None or path.cost < best.cost):
-            best = path
-    return best, finish(stats, deadline, "optimal" if best else "infeasible")
 
 
 @dataclass(frozen=True)
@@ -184,7 +157,7 @@ def choose_lambda(net: Network, q: DrcrQuery,
     if case is None:
         case, _ = classify_case(net, q)
     if case in (DrcrCase.DEGENERATED, DrcrCase.NON_TRIVIAL_4):
-        big = int(net.cost.sum()) + 1.0
+        big = net.totals[1] + 1.0
         lam, g = _bisect_lambda(net, q.src, q.dst, q.L, q.U, 0.0, big, q.U,
                                 deadline)
         return LambdaResult(lam, g, "upper", 0.0)
@@ -210,73 +183,113 @@ def choose_lambda(net: Network, q: DrcrQuery,
 _STOP_SLACK = 1e-9
 
 
+def _cheapest_first(net: Network, s: int, t: int, L: int, U: int,
+                    lam: Optional[float], stats: SolveStats,
+                    deadline: Deadline, accept: Callable = lambda p: p):
+    """The first answer ``accept`` gives for an s->t path with delay in
+    ``[L, U]``, tried cheapest first, and ``stats`` finished.
+
+    Paths come from :func:`yen_ksp` in ``cost + lam*delay`` order (in delay
+    order when ``lam`` is None), one iteration each.  In-range paths wait in
+    a heap keyed by (cost, draw number); its minimum is released once no
+    later in-range path can cost less: once ``w - max(lam*L, lam*U)``
+    reaches it, ``w`` the last weight, or once the last path in delay order
+    is past ``U``, or once Yen runs dry.  After the deadline passes, the
+    first release returns: a search as ``accept`` gives up at once, while
+    the plain ``accept`` returns the best path found.
+    """
+    check_endpoints(net, s, t)
+    weights = net.weights("delay") if lam is None \
+        else lagrangian_weights(net, lam)
+    margin = 0.0 if not lam else max(lam * L, lam * U) + _STOP_SLACK
+    heap: list[tuple[int, int, Path]] = []
+    for path in chain(yen_ksp(net, s, t, weights, deadline), [None]):
+        w = INF
+        if path is not None:
+            stats.iterations += 1
+            if L <= path.delay <= U:
+                heapq.heappush(heap, (path.cost, stats.iterations, path))
+            if lam is not None:
+                w = path.cost + lam * path.delay
+            elif path.delay <= U:
+                w = -INF
+        while heap and heap[0][0] + margin <= w:
+            answer = accept(heapq.heappop(heap)[2])
+            if answer is not None or deadline.phase is not None:
+                return answer, finish(stats, deadline, "optimal")
+        if w == INF:
+            return None, finish(stats, deadline, "infeasible")
+
+
+def _with_backup(net: Network, q: SrlgDrcrQuery, deadline: Deadline):
+    """The pair solvers' ``accept``: an active path's pair, or None."""
+    def pair(active: Path) -> Optional[PathPair]:
+        backup = backup_search(net, active, q.U, q.delta, deadline)
+        return None if backup is None else PathPair(active, backup)
+    return pair
+
+
+def _lambda_for(net: Network, q: DrcrQuery, deadline: Deadline,
+                ) -> tuple[Optional[float], Optional[Path]]:
+    """The multiplier to enumerate ``q`` in and, in a trivial case, its
+    optimum: 0 and the min-cost path then, :func:`choose_lambda`'s
+    multiplier otherwise, None when ``q`` is infeasible or time ran out."""
+    case, min_cost = classify_case(net, q, deadline)  # checks the endpoints
+    if deadline.phase is not None or case is DrcrCase.INFEASIBLE:
+        return None, None
+    if case.trivial:
+        return 0.0, min_cost
+    lam = choose_lambda(net, q, case, deadline).lambda_star
+    return (lam if deadline.phase is None else None), None
+
+
+def cost_ksp_drcr(net: Network, q: DrcrQuery,
+                  time_limit: Optional[float] = None,
+                  ) -> tuple[Optional[Path], SolveStats]:
+    """First delay-range-feasible path in cost order is optimal."""
+    return _cheapest_first(net, q.src, q.dst, q.L, q.U, 0.0, SolveStats(),
+                           Deadline(time_limit))
+
+
+def delay_ksp_drcr(net: Network, q: DrcrQuery,
+                   time_limit: Optional[float] = None,
+                   ) -> tuple[Optional[Path], SolveStats]:
+    """Enumerate in delay order up to U, keep the cheapest in-range path."""
+    return _cheapest_first(net, q.src, q.dst, q.L, q.U, None, SolveStats(),
+                           Deadline(time_limit))
+
+
 def lagrangian_ksp_drcr(net: Network, q: DrcrQuery,
                         time_limit: Optional[float] = None,
                         ) -> tuple[Optional[Path], SolveStats]:
-    """Enumerate in dual-weight order, stop once no cheaper path can follow.
-
-    A path of weight w costs at least w - max{lambda*L, lambda*U} if its
-    delay is in range, so the enumeration halts as soon as the next weight
-    reaches incumbent_cost + max{lambda*L, lambda*U}.
-    """
+    """Enumerate in dual-weight order, stop once no cheaper path can follow;
+    a trivial case is answered by its min-cost path."""
     stats = SolveStats()
     deadline = Deadline(time_limit)
-    case, min_cost = classify_case(net, q, deadline)  # checks the endpoints
-    if deadline.phase is not None:
-        return None, finish(stats, deadline, "timeout")
-    if case is DrcrCase.INFEASIBLE:
-        return None, finish(stats, deadline, "infeasible")
-    if case.trivial:
-        stats.lambda_value = 0.0
-        return min_cost, finish(stats, deadline, "optimal")
-    lam = choose_lambda(net, q, case, deadline).lambda_star
-    if deadline.phase is not None:  # a bisection cut short chose nothing
-        return None, finish(stats, deadline, "timeout")
-    stats.lambda_value = lam
-    offset = max(lam * q.L, lam * q.U)
-    best: Optional[Path] = None
-    for path in yen_ksp(net, q.src, q.dst, lagrangian_weights(net, lam),
-                        deadline):
-        stats.iterations += 1
-        if best is not None and path.cost + lam * path.delay \
-                >= best.cost + offset + _STOP_SLACK:
-            break
-        if q.L <= path.delay <= q.U and (best is None or path.cost < best.cost):
-            best = path
-    return best, finish(stats, deadline, "optimal" if best else "infeasible")
+    stats.lambda_value, path = _lambda_for(net, q, deadline)
+    if stats.lambda_value is None or path is not None:
+        return path, finish(stats, deadline, "optimal" if path else "infeasible")
+    return _cheapest_first(net, q.src, q.dst, q.L, q.U, stats.lambda_value,
+                           stats, deadline)
 
 
 def srlg_ksp_drcr(net: Network, q: SrlgDrcrQuery, order: str = "cost",
                   time_limit: Optional[float] = None,
                   ) -> tuple[Optional[PathPair], SolveStats]:
-    """Enumerate actives in cost (or delay) order; keep the cheapest that
-    admits a backup.
+    """The cheapest active within ``U`` that admits a backup, enumerated in
+    cost (or delay) order.
 
-    In cost order the first such active is the cheapest.  In delay order
-    the enumeration runs up to ``U``, and an active costing at least the
-    incumbent's is skipped without a backup search.
+    In cost order each active within ``U`` gets its backup search as it is
+    drawn.  In delay order the enumeration runs up to ``U``, then the
+    backup searches run cheapest first.  A query with no pair is proven
+    infeasible in cost order only once every path within ``U`` is drawn.
     """
     if order not in ("cost", "delay"):
         raise ValueError(f"unknown enumeration order {order!r}")
-    check_endpoints(net, q.src, q.dst)
-    stats = SolveStats()
     deadline = Deadline(time_limit)
-    best: Optional[PathPair] = None
-    # A backup search that times out ends the enumeration at its next spur.
-    for active in yen_ksp(net, q.src, q.dst, net.weights(order), deadline):
-        stats.iterations += 1
-        if active.delay > q.U:
-            if order == "delay":
-                break
-            continue
-        if best is not None and active.cost >= best.active.cost:
-            continue
-        backup = backup_search(net, active, q.U, q.delta, deadline)
-        if backup is not None:
-            best = PathPair(active, backup)
-            if order == "cost":
-                break
-    return best, finish(stats, deadline, "optimal" if best else "infeasible")
+    return _cheapest_first(net, q.src, q.dst, 0, q.U,
+                           0.0 if order == "cost" else None, SolveStats(),
+                           deadline, _with_backup(net, q, deadline))
 
 
 def srlg_lagrangian_ksp(net: Network, q: SrlgDrcrQuery,
@@ -284,41 +297,16 @@ def srlg_lagrangian_ksp(net: Network, q: SrlgDrcrQuery,
                         ) -> tuple[Optional[PathPair], SolveStats]:
     """Dual-ordered active enumeration with deferred backup checks.
 
-    Delay-feasible actives are parked in a cost-keyed heap; a backup search
-    runs only once the heap minimum is provably the cheapest active still
-    outstanding (its cost plus lambda*U is at most the next dual weight).
+    The multiplier is the one :func:`lagrangian_ksp_drcr` would use on the
+    relaxed query ``(src, dst, 0, U)``, and a query whose relaxation is
+    infeasible ends there.  Like the cost order, a query with no pair is
+    proven infeasible only once every path within ``U`` is drawn.
     """
-    check_endpoints(net, q.src, q.dst)
     stats = SolveStats()
     deadline = Deadline(time_limit)
-    big = int(net.cost.sum()) + 1.0
-    w0, d0 = _min_weight_delay(net, q.src, q.dst, 0.0, deadline)
-    if w0 == INF:
+    relaxed = DrcrQuery(q.src, q.dst, min(q.U, 0), q.U)
+    stats.lambda_value, _ = _lambda_for(net, relaxed, deadline)
+    if stats.lambda_value is None:
         return None, finish(stats, deadline, "infeasible")
-    if d0 <= q.U:
-        lam = 0.0
-    else:
-        lam, _g = _bisect_lambda(net, q.src, q.dst, 0, q.U, 0.0, big, q.U,
-                                 deadline)
-        if deadline.phase is not None:  # cut short: no multiplier chosen
-            return None, finish(stats, deadline, "timeout")
-    stats.lambda_value = lam
-    gen = yen_ksp(net, q.src, q.dst, lagrangian_weights(net, lam), deadline)
-    heap: list[tuple[int, int, Path]] = []
-    counter = 0
-    nxt: Optional[Path] = next(gen, None)
-    while True:
-        nxt_w = None if nxt is None else nxt.cost + lam * nxt.delay
-        while heap and deadline.phase is None and (
-                nxt_w is None or heap[0][0] + lam * q.U <= nxt_w + _STOP_SLACK):
-            _cost, _n, active = heapq.heappop(heap)
-            backup = backup_search(net, active, q.U, q.delta, deadline)
-            if backup is not None:
-                return PathPair(active, backup), finish(stats, deadline, "optimal")
-        if nxt is None or deadline.phase is not None:
-            return None, finish(stats, deadline, "infeasible")
-        stats.iterations += 1
-        if nxt.delay <= q.U:
-            counter += 1
-            heapq.heappush(heap, (nxt.cost, counter, nxt))
-        nxt = next(gen, None)
+    return _cheapest_first(net, q.src, q.dst, 0, q.U, stats.lambda_value,
+                           stats, deadline, _with_backup(net, q, deadline))

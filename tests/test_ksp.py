@@ -4,8 +4,10 @@ import pytest
 import drcr.ksp
 import drcr.pulse
 from conftest import pair_instance, random_net
-from drcr.graph import Deadline, lagrangian_weights, load_network
+from drcr.graph import Deadline, SolveStats, lagrangian_weights, \
+    load_network
 from drcr.ksp import (
+    _cheapest_first,
     choose_lambda,
     cost_ksp_drcr,
     delay_ksp_drcr,
@@ -60,6 +62,33 @@ class TestYen:
         assert len(got) == len(expect)
         assert [p.cost for p in got] == [p.cost for p in expect]
         assert sorted(p.links for p in got) == sorted(p.links for p in expect)
+
+
+class TestCheapestFirst:
+    # parallel s->t links (cost, delay): two in-range ties at cost 3 and a
+    # cheaper link past U = 5
+    TIES = "0,s,t,3,2,\n1,s,t,3,1,\n2,s,t,1,9,\n"
+
+    @pytest.mark.parametrize("lam, first", [(0.0, (0,)), (0.5, (1,)),
+                                            (None, (1,))])
+    def test_equal_cost_returns_the_first_drawn(self, lam, first):
+        net = load_network(self.TIES)
+        weights = (net.weights("delay") if lam is None
+                   else lagrangian_weights(net, lam))
+        drawn = [p.links for p in yen_ksp(net, 0, 1, weights)
+                 if p.delay <= 5 and p.cost == 3]
+        assert drawn[0] == first and len(drawn) == 2
+        path, stats = _cheapest_first(net, 0, 1, 0, 5, lam, SolveStats(),
+                                      Deadline())
+        assert path.links == first and stats.status == "optimal"
+
+    def test_delay_order_counts_the_first_path_past_u(self):
+        # delays 1, 2, 3: the second path is past U and ends the enumeration
+        net = load_network("0,s,t,5,1,\n1,s,t,1,2,\n2,s,t,1,3,\n")
+        path, stats = delay_ksp_drcr(net, DrcrQuery(0, 1, 0, 1))
+        assert path.links == (0,) and stats.iterations == 2
+        path, stats = delay_ksp_drcr(net, DrcrQuery(0, 1, 0, 3))
+        assert path.links == (1,) and stats.iterations == 3
 
 
 class TestCostKsp:
@@ -230,6 +259,31 @@ class TestSrlgKsp:
         assert pair.active.cost == 11
         assert brute_srlg_drcr(g3b, query)[0] == 11
 
+    def test_delay_order_backup_searches_run_cheapest_first(
+            self, g3b, monkeypatch):
+        tried = []
+        real = drcr.ksp.backup_search
+
+        def counted(net, active, *args):
+            tried.append(active.cost)
+            return real(net, active, *args)
+
+        monkeypatch.setattr(drcr.ksp, "backup_search", counted)
+        query = SrlgDrcrQuery(g3b.node_id("A"), g3b.node_id("F"), 10, 4)
+        pair, _ = srlg_ksp_drcr(g3b, query, "delay")
+        assert pair.active.cost == 11
+        # after U, cheapest first: the two cost-3 actives through the trap
+        # links fail, then the cost-11 escape pairs; none is tried twice
+        assert tried == [3, 3, 11]
+
+    @pytest.mark.parametrize("U", [1, -1])
+    def test_lagrangian_u_below_min_delay_is_infeasible_at_once(self, g3b, U):
+        # every A->F path has delay 2 or more
+        query = SrlgDrcrQuery(g3b.node_id("A"), g3b.node_id("F"), U, 4)
+        pair, stats = srlg_lagrangian_ksp(g3b, query)
+        assert pair is None and stats.status == "infeasible"
+        assert stats.iterations == 0 and stats.lambda_value is None
+
     def test_no_srlg_diamond_immediate(self, diamond):
         query = SrlgDrcrQuery(diamond.node_id("s"), diamond.node_id("t"), 5, 2)
         pair, stats = srlg_ksp_drcr(diamond, query, "cost")
@@ -259,13 +313,14 @@ class TestSrlgKsp:
         # the cheapest such active (seed 7: cost 19 against 7)
         net, query = pair_instance(seed)
         expect = brute_srlg_drcr(net, query)
-        pair, stats = srlg_ksp_drcr(net, query, "delay")
-        if expect is None:
-            assert pair is None and stats.status == "infeasible", seed
-        else:
-            assert stats.status == "optimal", seed
-            assert pair is not None and pair.active.cost == expect[0], seed
-            assert pair.is_valid(net, query.U, query.delta)
+        for pair, stats in (srlg_ksp_drcr(net, query, "delay"),
+                            srlg_lagrangian_ksp(net, query)):
+            if expect is None:
+                assert pair is None and stats.status == "infeasible", seed
+            else:
+                assert stats.status == "optimal", seed
+                assert pair is not None and pair.active.cost == expect[0], seed
+                assert pair.is_valid(net, query.U, query.delta)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_agrees_with_pair_oracle(self, seed):
