@@ -21,7 +21,6 @@ from .pulse import (
 )
 from .costfn import CostFunction, compute_cost_functions
 from .ksp import (
-    LambdaResult,
     choose_lambda,
     cost_ksp_drcr,
     delay_ksp_drcr,

@@ -136,11 +136,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         net = load_network(fh.read())
     srlg = args.algo in SRLG_ALGOS
     queries = _load_queries(args.queries, srlg)
-    limit = args.time_limit_ms / 1000.0 if args.time_limit_ms else None
+    limit = None if args.time_limit_ms is None else args.time_limit_ms / 1e3
     opts = PulseOptions(ldf=args.ldf, joint_pruning=args.joint_pruning,
                         time_limit=limit)
     graph_name = os.path.basename(args.graph)
-    limit_us = int(limit * 1e6) if limit else None
+    limit_us = None if limit is None else int(limit * 1e6)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         for q in queries:
@@ -183,7 +183,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     rows = ["topology,algo,p50_us,p75_us,p99_us,completion_rate"]
     for (topo, algo), recs in sorted(groups.items()):
         limit = next((r["time_limit_us"] for r in recs
-                      if r.get("time_limit_us")), None)
+                      if r.get("time_limit_us") is not None), None)
         elapsed = [INF if r["status"] == "timeout" else r["elapsed_us"]
                    for r in recs]
         cells = []
@@ -201,6 +201,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _time_limit_ms(text: str) -> float:
+    """A ``--time-limit-ms`` value: finite and not negative (0 times out at
+    once)."""
+    value = float(text)
+    if not 0 <= value < INF:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--graph", required=True)
     s.add_argument("--queries", required=True)
     s.add_argument("--algo", required=True, choices=DRCR_ALGOS + SRLG_ALGOS)
-    s.add_argument("--time-limit-ms", type=float, default=None)
+    s.add_argument("--time-limit-ms", type=_time_limit_ms, default=None)
     s.add_argument("--ldf", action=argparse.BooleanOptionalAction, default=True)
     s.add_argument(
         "--joint-pruning", action="store_true",

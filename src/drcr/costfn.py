@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional
 
-from .graph import INF, Deadline, Network, build_forward_tree
+from .graph import INF, NO_LIMIT, Deadline, Network, build_forward_tree
 
 
 @dataclass(frozen=True)
@@ -28,7 +27,7 @@ class CostFunction:
 
 def compute_cost_functions(net: Network, s: int, t: int, U: int,
                            cap: float = INF,
-                           deadline: Optional[Deadline] = None) -> CostFunction:
+                           deadline: Deadline = NO_LIMIT) -> CostFunction:
     """Smallest-cost-first reverse search from ``t``.
 
     Branches are cut when dominated by an already-kept pair or when even the
@@ -64,8 +63,7 @@ def compute_cost_functions(net: Network, s: int, t: int, U: int,
         dlist = delays[u]
         if dlist and dlist[-1] <= delay:
             continue
-        if kept & 63 == 0 and deadline is not None \
-                and deadline.expired("costfn.build"):
+        if kept & 63 == 0 and deadline.expired("costfn.build"):
             break
         kept += 1
         dlist.append(delay)

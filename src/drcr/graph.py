@@ -73,6 +73,11 @@ class Deadline:
         return True
 
 
+# The deadline of a layer called outside a solve: it never expires, so no
+# layer ever latches a phase on it.  A solve builds its own.
+NO_LIMIT = Deadline()
+
+
 @dataclass
 class SolveStats:
     """What every solver returns with its answer.
@@ -488,7 +493,7 @@ class ShortestTree:
 def dijkstra(net: Network, root: int, weights: np.ndarray, *,
              reverse: bool = False,
              disabled: Optional[set[int]] = None,
-             deadline: Optional[Deadline] = None) -> ShortestTree:
+             deadline: Deadline = NO_LIMIT) -> ShortestTree:
     """Shortest tree from (``reverse``: towards) ``root`` over link ``weights``.
 
     One ``scipy.sparse.csgraph.dijkstra`` call on ``net.matrix(reverse)``;
@@ -499,7 +504,7 @@ def dijkstra(net: Network, root: int, weights: np.ndarray, *,
     if not 0 <= root < net.num_nodes:
         raise ValueError(f"node {root} out of range")
     disabled = frozenset(disabled or ())
-    if deadline is not None and deadline.expired("graph.dijkstra"):
+    if deadline.expired("graph.dijkstra"):
         dist = [INF] * net.num_nodes
         dist[root] = 0.0
         return ShortestTree(root, reverse, dist,
@@ -515,13 +520,12 @@ def dijkstra(net: Network, root: int, weights: np.ndarray, *,
         warnings.filterwarnings("ignore", "Graph has negative weights")
         dist, pred = _csgraph_dijkstra(mat, indices=root,
                                        return_predecessors=True)
-    if deadline is not None:
-        deadline.expired("graph.dijkstra")
+    deadline.expired("graph.dijkstra")
     return ShortestTree(root, reverse, dist.tolist(), pred, weights, disabled)
 
 
 def _cached(net: Network, key: tuple, build: Callable[[], object],
-            deadline: Optional[Deadline]):
+            deadline: Deadline = NO_LIMIT):
     """``net``'s cache entry for ``key``, made most recently used; on a miss
     ``build()``'s result, kept unless ``deadline`` has expired.  A hit still
     checks ``deadline`` once."""
@@ -529,11 +533,10 @@ def _cached(net: Network, key: tuple, build: Callable[[], object],
     entry = cache.get(key)
     if entry is not None:
         cache.move_to_end(key)
-        if deadline is not None:
-            deadline.expired("graph.dijkstra")
+        deadline.expired("graph.dijkstra")
         return entry
     entry = build()
-    if deadline is None or deadline.phase is None:
+    if deadline.phase is None:
         cache[key] = entry
         if len(cache) > TREE_CACHE_SIZE:
             cache.popitem(last=False)
@@ -542,7 +545,7 @@ def _cached(net: Network, key: tuple, build: Callable[[], object],
 
 def build_reverse_tree(net: Network, t: int, metric: str,
                        disabled: Optional[set[int]] = None,
-                       deadline: Optional[Deadline] = None) -> ShortestTree:
+                       deadline: Deadline = NO_LIMIT) -> ShortestTree:
     """Destination-rooted shortest tree: dist[u] = min metric over u->t paths.
 
     A tree on all links (no ``disabled``) is kept in ``net``'s cache of the
@@ -570,7 +573,7 @@ def lagrangian_weights(net: Network, lam: float) -> np.ndarray:
 
 
 def lagrangian_dist(net: Network, t: int, lam: float,
-                    deadline: Optional[Deadline] = None) -> list[float]:
+                    deadline: Deadline = NO_LIMIT) -> list[float]:
     """``dist[u]``, the least ``cost + lam * delay`` over all u->t paths.
 
     Kept in the same cache as :func:`build_reverse_tree`'s trees, under
@@ -585,7 +588,7 @@ def lagrangian_dist(net: Network, t: int, lam: float,
 
 
 def build_forward_tree(net: Network, s: int, metric: str,
-                       deadline: Optional[Deadline] = None) -> ShortestTree:
+                       deadline: Deadline = NO_LIMIT) -> ShortestTree:
     """Source-rooted shortest tree: dist[u] = min metric over s->u paths."""
     return dijkstra(net, s, net.weights(metric), deadline=deadline)
 

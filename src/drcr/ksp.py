@@ -15,20 +15,19 @@ backup.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .graph import INF, Deadline, Network, Path, SolveStats, \
+from .graph import INF, NO_LIMIT, Deadline, Network, Path, SolveStats, \
     check_endpoints, dijkstra, finish, lagrangian_weights
 from .pulse import DrcrCase, DrcrQuery, classify_case
 from .srlg import PathPair, SrlgDrcrQuery, backup_search
 
 
 def yen_ksp(net: Network, s: int, t: int, weights: np.ndarray,
-            deadline: Optional[Deadline] = None) -> Iterator[Path]:
+            deadline: Deadline = NO_LIMIT) -> Iterator[Path]:
     """Loopless s->t paths in non-decreasing total of the float64 per-link
     ``weights`` (indexed by link id), lazily.
 
@@ -51,7 +50,7 @@ def yen_ksp(net: Network, s: int, t: int, weights: np.ndarray,
         nodes = current.nodes
         root_w = 0.0
         for i in range(len(cur_links)):
-            if deadline is not None and deadline.expired("ksp.yen"):
+            if deadline.expired("ksp.yen"):
                 return
             root = cur_links[:i]
             # the spur may not take an emitted path's next link, nor enter
@@ -70,32 +69,13 @@ def yen_ksp(net: Network, s: int, t: int, weights: np.ndarray,
                    if candidates else None)
 
 
-@dataclass(frozen=True)
-class LambdaResult:
-    """Dual multiplier selection outcome.
-
-    ``subcase`` records which bound was binding: "upper" when only the delay
-    ceiling binds (lambda >= 0), "lower-interior" / "lower-boundary" when
-    the floor binds (lambda < 0, interior maximum vs the -mu endpoint).
-    ``degenerate`` flags mu = 0 at the boundary, where the dual bound
-    collapses and lambda falls back to 0.
-    """
-
-    lambda_star: float
-    g_value: float
-    subcase: str
-    mu: float
-    degenerate: bool = False
-
-
 # Bisection control: stop on relative bracket width or after this many steps.
 _BISECT_STEPS = 64
 _BISECT_TOL = 1e-6
 
 
 def _min_weight_delay(net: Network, s: int, t: int, lam: float,
-                      deadline: Optional[Deadline] = None,
-                      ) -> tuple[float, int]:
+                      deadline: Deadline = NO_LIMIT) -> tuple[float, int]:
     """Weight and delay of a min-(c + lam*d)-weight s->t path."""
     weights = lagrangian_weights(net, lam)
     path = dijkstra(net, s, weights, deadline=deadline).path_from(net, t)
@@ -110,9 +90,9 @@ def _dual_value(w: float, lam: float, L: int, U: int) -> float:
 
 def _bisect_lambda(net: Network, s: int, t: int, L: int, U: int,
                    lo: float, hi: float, threshold: int,
-                   deadline: Optional[Deadline] = None,
-                   ) -> tuple[float, float]:
-    """Maximize the dual over [lo, hi] given d(lo-opt) > threshold >= d(hi-opt).
+                   deadline: Deadline = NO_LIMIT) -> float:
+    """The multiplier in [lo, hi] that maximizes the dual, given
+    d(lo-opt) > threshold >= d(hi-opt).
 
     The dual is concave with subgradient d(min-weight path) - threshold, so
     bisection on the subgradient sign brackets the maximizer.  It stops
@@ -126,8 +106,8 @@ def _bisect_lambda(net: Network, s: int, t: int, L: int, U: int,
         if g > best_g:
             best_g, best_lam = g, lam
     for _ in range(_BISECT_STEPS):
-        if hi - lo < _BISECT_TOL * (1.0 + abs(lo) + abs(hi)) or (
-                deadline is not None and deadline.phase is not None):
+        if hi - lo < _BISECT_TOL * (1.0 + abs(lo) + abs(hi)) \
+                or deadline.phase is not None:
             break
         mid = (lo + hi) / 2.0
         w, d = _min_weight_delay(net, s, t, mid, deadline)
@@ -138,44 +118,41 @@ def _bisect_lambda(net: Network, s: int, t: int, L: int, U: int,
             lo = mid
         else:
             hi = mid
-    return best_lam, best_g
+    return best_lam
 
 
 def choose_lambda(net: Network, q: DrcrQuery,
                   case: Optional[DrcrCase] = None,
-                  deadline: Optional[Deadline] = None) -> LambdaResult:
-    """Pick the multiplier maximizing the concave dual bound.
+                  deadline: Deadline = NO_LIMIT) -> float:
+    """The multiplier that maximizes the concave dual bound.
 
     When the ceiling binds, lambda lives in [0, total_cost + 1]: at the top
     of that bracket any unit of delay outweighs any cost difference, so the
     min-delay path is min-weight.  When the floor binds, lambda is negative
     but bounded below by -mu (mu the minimum cost/delay ratio) to keep every
-    link weight non-negative.  A caller that has classified the query
-    passes its ``case`` to skip a second classification.  Once ``deadline``
+    link weight non-negative; it is -mu itself when the min-weight path at
+    -mu has delay at most ``L``, and 0 when mu is 0 or no link has delay,
+    where the dual bound collapses.  A caller that has classified the query passes
+    its ``case`` to skip a second classification.  Once ``deadline``
     expires the Dijkstras stop early and the result proves nothing.
     """
     if case is None:
         case, _ = classify_case(net, q)
     if case in (DrcrCase.DEGENERATED, DrcrCase.NON_TRIVIAL_4):
         big = net.totals[1] + 1.0
-        lam, g = _bisect_lambda(net, q.src, q.dst, q.L, q.U, 0.0, big, q.U,
-                                deadline)
-        return LambdaResult(lam, g, "upper", 0.0)
+        return _bisect_lambda(net, q.src, q.dst, q.L, q.U, 0.0, big, q.U,
+                              deadline)
     if case is not DrcrCase.NON_TRIVIAL_6:
         raise ValueError(f"no binding delay bound to relax ({case.name})")
     timed = net.delay > 0
     if not timed.any():
-        raise ValueError("all links have zero delay")
+        return 0.0
     mu = float((net.cost[timed] / net.delay[timed]).min())
-    w, d = _min_weight_delay(net, q.src, q.dst, -mu, deadline)
+    _, d = _min_weight_delay(net, q.src, q.dst, -mu, deadline)
     if d > q.L:
-        lam, g = _bisect_lambda(net, q.src, q.dst, q.L, q.U, -mu, 0.0, q.L,
-                                deadline)
-        return LambdaResult(lam, g, "lower-interior", mu)
-    if mu == 0.0:
-        return LambdaResult(0.0, _dual_value(w, 0.0, q.L, q.U),
-                            "lower-boundary", mu, degenerate=True)
-    return LambdaResult(-mu, _dual_value(w, -mu, q.L, q.U), "lower-boundary", mu)
+        return _bisect_lambda(net, q.src, q.dst, q.L, q.U, -mu, 0.0, q.L,
+                              deadline)
+    return -mu if mu else 0.0
 
 
 # Float weights can undershoot the exact stopping bound; an extra emission
@@ -239,7 +216,7 @@ def _lambda_for(net: Network, q: DrcrQuery, deadline: Deadline,
         return None, None
     if case.trivial:
         return 0.0, min_cost
-    lam = choose_lambda(net, q, case, deadline).lambda_star
+    lam = choose_lambda(net, q, case, deadline)
     return (lam if deadline.phase is None else None), None
 
 

@@ -24,6 +24,7 @@ from typing import Callable, Optional, Sequence
 
 from .graph import (
     INF,
+    NO_LIMIT,
     Deadline,
     Network,
     Path,
@@ -89,8 +90,7 @@ class PulseOptions:
     time_limit: Optional[float] = None
 
 
-def dst_trees(net: Network, q: DrcrQuery,
-              deadline: Optional[Deadline] = None,
+def dst_trees(net: Network, q: DrcrQuery, deadline: Deadline = NO_LIMIT,
               ) -> tuple[ShortestTree, ShortestTree]:
     """Check ``q``'s endpoints; the delay and cost trees rooted at its
     destination (shared with the network's tree cache)."""
@@ -99,8 +99,7 @@ def dst_trees(net: Network, q: DrcrQuery,
             build_reverse_tree(net, q.dst, "cost", deadline=deadline))
 
 
-def classify_case(net: Network, q: DrcrQuery,
-                  deadline: Optional[Deadline] = None,
+def classify_case(net: Network, q: DrcrQuery, deadline: Deadline = NO_LIMIT,
                   ) -> tuple[DrcrCase, Optional[Path]]:
     """Map a query onto the six-way case split.
 
@@ -111,7 +110,7 @@ def classify_case(net: Network, q: DrcrQuery,
     proves nothing; it reads ``INFEASIBLE`` then.
     """
     delay_tree, cost_tree = dst_trees(net, q, deadline)
-    if deadline is not None and deadline.phase is not None:
+    if deadline.phase is not None:
         return DrcrCase.INFEASIBLE, None
     d_min_delay = delay_tree.dist[q.src]
     if d_min_delay == INF or q.U < d_min_delay:
@@ -155,7 +154,7 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
                      first_feasible: bool = False,
                      cf: Optional[CostFunction] = None,
                      lagrangian: Optional[tuple[float, list[float]]] = None,
-                     deadline: Optional[Deadline] = None,
+                     deadline: Deadline = NO_LIMIT,
                      accept: Optional[Callable[[list[int], int], bool]] = None,
                      link_masks: Optional[list[int]] = None,
                      conflict_masks: Sequence[int] = (),
@@ -229,8 +228,7 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
             stopped = "budget"
             break
         iterations += 1
-        if iterations & 1023 == 1 and deadline is not None \
-                and deadline.expired("pulse.search"):
+        if iterations & 1023 == 1 and deadline.expired("pulse.search"):
             break
         node, dly, cst, depth, lid, s3 = pop()
         if disabled and lid in disabled:
@@ -316,9 +314,8 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
             # Where a budget or deadline check falls among them, push them
             # and let the loop pop them.
             m = len(tail)
-            if iterations + m <= max_iterations and (
-                    deadline is None
-                    or (iterations - 1) >> 10 == (iterations + m - 1) >> 10):
+            if iterations + m <= max_iterations \
+                    and (iterations - 1) >> 10 == (iterations + m - 1) >> 10:
                 iterations += m
                 for _ in tail:
                     searched += child_s3
@@ -387,7 +384,7 @@ def pulse_plus(net: Network, q: DrcrQuery,
 
 
 def lagrangian_cut(net: Network, q: DrcrQuery, min_cost: Path,
-                   deadline: Optional[Deadline] = None,
+                   deadline: Deadline = NO_LIMIT,
                    ) -> Optional[tuple[float, list[float]]]:
     """The ``(lam, dist_lam)`` of :func:`run_pulse_search`'s Lagrangian cut
     for a query whose ``U`` binds (cases 2 and 4), or ``None``.
@@ -414,7 +411,7 @@ def lagrangian_cut(net: Network, q: DrcrQuery, min_cost: Path,
         return None
     lam = math.ldexp(1.0, exp)
     dist = lagrangian_dist(net, q.dst, lam, deadline)
-    return None if deadline is not None and deadline.phase else (lam, dist)
+    return None if deadline.phase else (lam, dist)
 
 
 def solve_drcr(net: Network, q: DrcrQuery,

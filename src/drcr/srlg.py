@@ -19,6 +19,7 @@ from typing import Optional
 
 from .graph import (
     INF,
+    NO_LIMIT,
     Deadline,
     Network,
     Path,
@@ -85,7 +86,7 @@ def _links_of_srlgs(net: Network, srlg_ids) -> set[int]:
 
 
 def backup_search(net: Network, active: Path, U: int, delta: int,
-                  deadline: Optional[Deadline] = None,
+                  deadline: Deadline = NO_LIMIT,
                   stats: Optional[SolveStats] = None) -> Optional[Path]:
     """First feasible Srlg-disjoint companion for ``active``, or None.
 
@@ -113,7 +114,7 @@ def backup_search(net: Network, active: Path, U: int, delta: int,
 
 def find_conflict_set(net: Network, active: Path, U: int,
                       pick: str = "largest",
-                      deadline: Optional[Deadline] = None,
+                      deadline: Deadline = NO_LIMIT,
                       stats: Optional[SolveStats] = None,
                       ) -> Optional[frozenset[int]]:
     """DFS over U-feasible paths, knocking out one shared Srlg per hit.
@@ -127,7 +128,8 @@ def find_conflict_set(net: Network, active: Path, U: int,
     with the most links (ties to the lowest id); ``first-link`` scans the
     active path and takes the largest group on its first conflicted link.
     """
-    deadline = deadline or Deadline()
+    if pick not in ("largest", "first-link"):
+        raise ValueError(f"unknown Srlg pick strategy {pick!r}")
     active_omega = srlgs_of_path(net, active)
     s, t = active.nodes[0], active.nodes[-1]
     delay_tree = build_reverse_tree(net, t, "delay", deadline=deadline)
@@ -163,8 +165,6 @@ def _pick_srlg(net: Network, active: Path, candidates: set[int], pick: str) -> i
             if shared:
                 candidates = shared
                 break
-    elif pick != "largest":
-        raise ValueError(f"unknown Srlg pick strategy {pick!r}")
     return max(candidates, key=lambda r: (len(net.srlgs[r]), -r))
 
 
@@ -172,7 +172,7 @@ def ap_pulse_plus(net: Network, src: int, dst: int, U: int,
                   instance: SubInstance,
                   conflicts: list[frozenset[int]],
                   tmp_min: float = INF,
-                  deadline: Optional[Deadline] = None,
+                  deadline: Deadline = NO_LIMIT,
                   stats: Optional[SolveStats] = None) -> Optional[Path]:
     """Min-cost active-path search under include/exclude/conflict constraints.
 
@@ -185,7 +185,6 @@ def ap_pulse_plus(net: Network, src: int, dst: int, U: int,
     conflict containment is additionally used as a cut on partial paths.
     Only paths costing less than ``tmp_min`` are returned.
     """
-    deadline = deadline or Deadline()
     disabled = _links_of_srlgs(net, instance.exclude)
     for r in instance.include:
         if r < 0:
@@ -252,9 +251,12 @@ def cose_pulse_plus(net: Network, q: SrlgDrcrQuery,
     classification) instead of driving the active cost to the proven
     minimum.  Once ``time_limit`` (seconds) passes, the status is
     ``timeout`` and the pair the best found, if any.  ``iterations`` counts
-    the active, backup and conflict-set searches together.
+    the active, backup and conflict-set searches together.  ``pick`` goes
+    to :func:`find_conflict_set`.
     """
     check_endpoints(net, q.src, q.dst)
+    if pick not in ("largest", "first-link"):
+        raise ValueError(f"unknown Srlg pick strategy {pick!r}")
     stats = SolveStats()
     deadline = Deadline(time_limit)
     # entry: (lower bound on the active cost, insertion number, sub-instance)

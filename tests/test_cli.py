@@ -127,6 +127,26 @@ class TestSolve:
         assert rec["timeout_phase"] in ("graph.dijkstra", "pulse.search")
 
 
+    def test_zero_limit_times_out_and_negative_is_rejected(self, g1_files,
+                                                            tmp_path):
+        graph, queries = g1_files
+        out = tmp_path / "res.jsonl"
+        for algo in DRCR_ALGOS:
+            assert main(["solve", "--graph", graph, "--queries", queries,
+                         "--algo", algo, "--time-limit-ms", "0",
+                         "--out", str(out)]) == 0
+            recs = [json.loads(l) for l in out.read_text().splitlines()]
+            assert [r["status"] for r in recs] == ["timeout"] * 3
+            assert all(r["time_limit_us"] == 0 for r in recs)
+        rep = tmp_path / "rep.csv"
+        assert main(["report", "--results", str(out), "--out", str(rep)]) == 0
+        assert rep.read_text().splitlines()[1].split(",")[2] == ">0"
+        with pytest.raises(SystemExit) as e:
+            main(["solve", "--graph", graph, "--queries", queries,
+                  "--algo", "pulse+", "--time-limit-ms", "-1"])
+        assert e.value.code == 2
+
+
 class TestReport:
     def test_nearest_rank_definition(self):
         values = list(range(1, 101))

@@ -1,4 +1,5 @@
 import gc
+import time
 import warnings
 from unittest import mock
 
@@ -7,9 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import drcr.graph
-from conftest import links_network, multigraphs, random_net
+import drcr.ksp
+import drcr.pulse
+from conftest import G3B_TEXT, links_network, multigraphs, random_net
+from drcr.costfn import compute_cost_functions
 from drcr.graph import (
     INF,
+    NO_LIMIT,
     GraphFormatError,
     Link,
     Network,
@@ -21,15 +26,18 @@ from drcr.graph import (
     dijkstra,
     dump_network,
     is_elementary,
+    lagrangian_dist,
     lagrangian_weights,
     load_network,
     srlgs_of_path,
 )
-from drcr.ksp import cost_ksp_drcr, delay_ksp_drcr, \
-    lagrangian_ksp_drcr, srlg_ksp_drcr, srlg_lagrangian_ksp
-from drcr.pulse import DrcrQuery, PulseOptions, pulse_plus, \
-    run_pulse_search, solve_drcr
-from drcr.srlg import SrlgDrcrQuery, cose_pulse_plus
+from drcr.ksp import _bisect_lambda, _min_weight_delay, choose_lambda, \
+    cost_ksp_drcr, delay_ksp_drcr, lagrangian_ksp_drcr, srlg_ksp_drcr, \
+    srlg_lagrangian_ksp, yen_ksp
+from drcr.pulse import DrcrCase, DrcrQuery, PulseOptions, classify_case, \
+    dst_trees, lagrangian_cut, pulse_plus, run_pulse_search, solve_drcr
+from drcr.srlg import SrlgDrcrQuery, SubInstance, ap_pulse_plus, \
+    backup_search, cose_pulse_plus, find_conflict_set
 from oracle import brute_drcr
 
 
@@ -561,3 +569,45 @@ def test_search_kernel_returns_one_stats_record():
         build_reverse_tree(net, 2, "cost").dist)
     assert path.cost == 2
     assert type(stats) is SolveStats and stats.status == "optimal"
+
+
+@pytest.mark.parametrize("jump", [False, True])
+def test_no_limit_never_latches(limit_passes_in, jump):
+    """Every layer called without a deadline runs on ``NO_LIMIT``: it runs
+    to the end, even when the clock jumps an hour at each Dijkstra and each
+    largest-delay-first sort, and leaves ``NO_LIMIT`` unexpired."""
+    if jump:
+        for module, name in ((drcr.graph, "dijkstra"), (drcr.ksp, "dijkstra"),
+                             (drcr.pulse, "ldf_sorted")):
+            limit_passes_in(module, name)
+    net = load_network(G3B_TEXT)  # A D E F B C are nodes 0-5
+    query = DrcrQuery(0, 3, 0, 2)  # U binds: A-B-F, cost 11, delay 2
+    assert dijkstra(net, 0, net.weights("delay")).dist[3] == 2
+    assert drcr.graph._cached(net, (3, "delay"), lambda: build_reverse_tree(
+        net, 3, "delay")).dist[0] == 2
+    assert build_forward_tree(net, 0, "cost").dist[3] == 3
+    delay_tree, cost_tree = dst_trees(net, query)
+    assert (delay_tree.dist[0], cost_tree.dist[0]) == (2, 3)
+    case, min_cost = classify_case(net, query)
+    assert case is DrcrCase.DEGENERATED and min_cost.cost == 3
+    lam, dist = lagrangian_cut(net, query, min_cost)
+    assert lam == 8.0 and lagrangian_dist(net, 3, lam) == dist
+    cf = compute_cost_functions(net, 0, 3, query.U)
+    assert (cf.delays[0], cf.costs[0]) == ([2], [11])
+    path, stats = run_pulse_search(net, 0, 3, 0, 2, delay_tree,
+                                   cost_tree.dist)
+    assert path.cost == 11 and stats.status == "optimal"
+    active = Path.from_links(net, [4, 5])
+    assert backup_search(net, active, 2, 0).links == (6, 7)
+    assert find_conflict_set(net, Path.from_links(net, [0, 1, 3]), 10) \
+        == {0, 1}
+    empty = SubInstance(frozenset(), frozenset())
+    assert ap_pulse_plus(net, 0, 3, 10, empty, []).cost == 3
+    assert len(list(yen_ksp(net, 0, 3, net.weights("cost")))) == 4
+    assert _min_weight_delay(net, 0, 3, 0.0) == (3.0, 3)
+    assert _bisect_lambda(net, 0, 3, 0, 2, 0.0, 27.0, 2) \
+        == choose_lambda(net, query) > 0
+    assert NO_LIMIT.phase is None and NO_LIMIT.at == INF
+    assert (time.monotonic() >= 3600.0) == jump
+    path, stats = solve_drcr(net, query)
+    assert path.cost == 11 and stats.status == "optimal"

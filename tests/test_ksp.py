@@ -8,6 +8,8 @@ from drcr.graph import Deadline, SolveStats, lagrangian_weights, \
     load_network
 from drcr.ksp import (
     _cheapest_first,
+    _dual_value,
+    _min_weight_delay,
     choose_lambda,
     cost_ksp_drcr,
     delay_ksp_drcr,
@@ -16,9 +18,13 @@ from drcr.ksp import (
     srlg_lagrangian_ksp,
     yen_ksp,
 )
-from drcr.pulse import DrcrQuery
+from drcr.pulse import DrcrQuery, pulse_plus
 from drcr.srlg import SrlgDrcrQuery
 from oracle import brute_drcr, brute_srlg_drcr, enumerate_elementary_paths
+
+
+# s -> a -> t and s -> t, no link with delay
+ZERO_DELAY_TEXT = "0,s,a,1,0,\n1,a,t,1,0,\n2,s,t,5,0,\n"
 
 
 def q(g, src, dst, L, U):
@@ -115,30 +121,45 @@ class TestDelayKsp:
         assert p is None and stats.status == "infeasible"
 
 
+def dual_at(net, query, lam):
+    """The dual bound of ``query`` at multiplier ``lam``."""
+    w, _ = _min_weight_delay(net, query.src, query.dst, lam)
+    return _dual_value(w, lam, query.L, query.U)
+
+
 class TestChooseLambda:
     def test_mu_constant_when_ratios_equal(self, g3a):
-        # every link has cost 1, delay 1
-        res = choose_lambda(g3a, DrcrQuery(g3a.node_id("s"), g3a.node_id("t"),
-                                           3, 3))
-        assert res.mu == 1.0
+        # every link has cost 1, delay 1: the floor binds at the -mu end
+        lam = choose_lambda(g3a, DrcrQuery(g3a.node_id("s"),
+                                           g3a.node_id("t"), 3, 3))
+        assert lam == -1.0
 
     def test_dual_value_bounds_optimum(self, g1):
         query = q(g1, "s", "t", 3, 5)
-        res = choose_lambda(g1, query)
+        lam = choose_lambda(g1, query)
         opt = brute_drcr(g1, query)[0]
-        assert res.g_value <= opt + 1e-9
+        assert dual_at(g1, query, lam) <= opt + 1e-9
 
     def test_upper_case_interior(self):
         # min-cost path delay above U forces a positive multiplier
         net = load_network("0,s,t,1,9,\n1,s,a,5,1,\n2,a,t,5,1,\n")
-        res = choose_lambda(net, DrcrQuery(0, 1, 0, 4))
-        assert res.subcase == "upper"
-        assert res.lambda_star >= 0
-        assert res.g_value <= 10 + 1e-9
+        query = DrcrQuery(0, 1, 0, 4)
+        lam = choose_lambda(net, query)
+        assert lam >= 0
+        assert dual_at(net, query, lam) <= 10 + 1e-9
+
+    def test_no_timed_link_gives_zero(self):
+        # every delay is 0, so L = 1 binds but no multiplier can price it
+        net = load_network(ZERO_DELAY_TEXT)
+        query = DrcrQuery(0, 2, 1, 3)
+        assert choose_lambda(net, query) == 0.0
+        for solver in (lagrangian_ksp_drcr, cost_ksp_drcr):
+            path, stats = solver(net, query)
+            assert path is None and stats.status == "infeasible"
+        path, stats = pulse_plus(net, query)
+        assert path is None and stats.status == "infeasible"
 
     def test_g_concave_and_bounded(self):
-        from drcr.ksp import _dual_value, _min_weight_delay
-
         net = random_net(31, 8, 0.6)
         query = DrcrQuery(0, 7, 0, 12)
         opt = brute_drcr(net, query)
@@ -146,8 +167,7 @@ class TestChooseLambda:
         lams = sorted(float(x) for x in rng.uniform(0, 50, size=20))
 
         def g(lam):
-            w, _ = _min_weight_delay(net, 0, 7, lam)
-            return _dual_value(w, lam, query.L, query.U)
+            return dual_at(net, query, lam)
 
         vals = [g(l) for l in lams]
         if opt is not None:

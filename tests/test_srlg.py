@@ -77,6 +77,16 @@ class TestConflictSet:
             assert cs is not None
             assert verify_conflict_set(g3b, q, cs)
 
+    def test_unknown_pick_rejected_before_any_search(self, diamond):
+        # the diamond's actives always have a backup, so no conflict set
+        # is ever searched, and the rule would never be read
+        active = Path.from_links(diamond, [0, 1])
+        with pytest.raises(ValueError, match="no-such-rule"):
+            find_conflict_set(diamond, active, U=5, pick="no-such-rule")
+        q = SrlgDrcrQuery(0, diamond.node_id("t"), 5, 5)
+        with pytest.raises(ValueError, match="no-such-rule"):
+            cose_pulse_plus(diamond, q, pick="no-such-rule")
+
     def test_lone_route_conflicts_with_itself(self):
         net = load_network("0,s,a,1,1,0\n1,a,t,1,1,0\n")
         active = Path.from_links(net, [0, 1])
