@@ -172,18 +172,20 @@ def cmd_report(args: argparse.Namespace) -> int:
                 if not line:
                     continue
                 rec = json.loads(line)
-                # pulse+ options that change the search get their own row
+                # pulse+ options that change the search, and the time limit,
+                # get their own row
+                limit = rec.get("time_limit_us")
                 key = (rec.get("graph", "?"), rec.get("algo", "?")
                        + ("/no-ldf" if rec.get("ldf") is False else "")
-                       + ("/joint-pruning" if rec.get("joint_pruning") else ""))
+                       + ("/joint-pruning" if rec.get("joint_pruning") else "")
+                       + ("" if limit is None else f"/limit-{limit}us"))
                 groups.setdefault(key, []).append(rec)
     if not groups:
         print("no result records found", file=sys.stderr)
         return 1
     rows = ["topology,algo,p50_us,p75_us,p99_us,completion_rate"]
     for (topo, algo), recs in sorted(groups.items()):
-        limit = next((r["time_limit_us"] for r in recs
-                      if r.get("time_limit_us") is not None), None)
+        limit = recs[0].get("time_limit_us")
         elapsed = [INF if r["status"] == "timeout" else r["elapsed_us"]
                    for r in recs]
         cells = []
@@ -249,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser(
         "report",
         help="fold result files into a CSV of nearest-rank percentiles "
-             "(p50/p75/p99, timeouts rendered as >LIMIT) and completion rates")
+             "(p50/p75/p99, timeouts rendered as >LIMIT) and completion "
+             "rates, one row per graph, algorithm, options and time limit")
     r.add_argument("--results", nargs="+", required=True)
     r.add_argument("--out", default=None)
     r.set_defaults(func=cmd_report)

@@ -7,11 +7,12 @@ sized test fails loudly instead of hanging.
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_right
 from typing import Optional
 
 from drcr.costfn import CostFunction
-from drcr.graph import INF, Network, Path, srlgs_of_path
+from drcr.graph import INF, Network, Path, build_forward_tree, srlgs_of_path
 from drcr.pulse import DrcrQuery
 from drcr.srlg import PathPair, SrlgDrcrQuery
 
@@ -143,6 +144,31 @@ def brute_cost_function(net: Network, s: int, t: int, U: int,
                     fu[l] = cand
                     changed = True
     return f
+
+
+def reference_cost_functions(net: Network, s: int, t: int, U: int,
+                             cap: float = INF) -> CostFunction:
+    """The cost-function build with its dominance test at pop time only.
+
+    Every pair that passes the two forward-tree cuts is pushed, and a popped
+    pair is dropped when its node already keeps a pair of no larger delay.
+    ``drcr.costfn.compute_cost_functions`` must keep exactly these lists.
+    """
+    slack = [U - d for d in build_forward_tree(net, s, "delay").dist]
+    room = [cap - c for c in build_forward_tree(net, s, "cost").dist]
+    delays: list[list[int]] = [[] for _ in range(net.num_nodes)]
+    costs: list[list[int]] = [[] for _ in range(net.num_nodes)]
+    heap = [(0, 0, t)]
+    while heap:
+        cost, delay, u = heapq.heappop(heap)
+        if delays[u] and delays[u][-1] <= delay:
+            continue
+        delays[u].append(delay)
+        costs[u].append(cost)
+        for v, d_e, c_e, _lid in net.ingress[u]:
+            if delay + d_e <= slack[v] and cost + c_e < room[v]:
+                heapq.heappush(heap, (cost + c_e, delay + d_e, v))
+    return CostFunction([d[::-1] for d in delays], [c[::-1] for c in costs])
 
 
 def eval_cost_function(cf: CostFunction, u: int, budget: float) -> float:

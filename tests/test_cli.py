@@ -163,7 +163,7 @@ class TestReport:
         assert main(["report", "--results", res, "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "topology,algo,p50_us,p75_us,p99_us,completion_rate"
-        assert lines[1] == "g,pulse+,20,30,40,1.0000"
+        assert lines[1] == "g,pulse+/limit-1000us,20,30,40,1.0000"
 
     def test_pulse_options_get_their_own_rows(self, g1_files, tmp_path):
         graph, queries = g1_files
@@ -178,6 +178,23 @@ class TestReport:
         assert main(["report", "--results", *results, "--out", str(rep)]) == 0
         algos = [row.split(",")[1] for row in rep.read_text().splitlines()[1:]]
         assert algos == ["pulse+", "pulse+/joint-pruning", "pulse+/no-ldf"]
+
+    def test_time_limits_get_their_own_rows(self, g1_files, tmp_path):
+        graph, queries = g1_files
+        results = []
+        for name, flags in (("none", []), ("zero", ["--time-limit-ms", "0"]),
+                            ("hour", ["--time-limit-ms", "3600000"])):
+            out = tmp_path / f"{name}.jsonl"
+            assert main(["solve", "--graph", graph, "--queries", queries,
+                         "--algo", "pulse+", "--out", str(out)] + flags) == 0
+            results.append(str(out))
+        rep = tmp_path / "rep.csv"
+        assert main(["report", "--results", *results, "--out", str(rep)]) == 0
+        rows = [row.split(",") for row in rep.read_text().splitlines()[1:]]
+        assert [(r[1], r[5]) for r in rows] == [
+            ("pulse+", "1.0000"), ("pulse+/limit-0us", "0.0000"),
+            ("pulse+/limit-3600000000us", "1.0000")]
+        assert rows[1][2:5] == [">0"] * 3
 
     def test_half_timeouts(self, tmp_path):
         recs = [{"status": "optimal", "elapsed_us": 5, "algo": "a",

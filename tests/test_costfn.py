@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_net
+from conftest import links_network, random_net
 from drcr.costfn import compute_cost_functions
-from drcr.graph import INF, load_network
-from oracle import eval_cost_function
+from drcr.graph import INF, Link, load_network
+from drcr.testgen import GenConfig, gen_drcr_query, gen_er_network
+from oracle import eval_cost_function, reference_cost_functions
 
 
 def test_destination_has_zero_pair(g1):
@@ -68,3 +69,45 @@ class TestOracleEquivalence:
             # can actually present, i.e. l <= U - min-delay(s->u)
             for l in range(int(U - fwd.dist[u]) + 1):
                 assert eval_cost_function(cf, u, l) == f[u][l], (seed, u, l)
+
+
+def random_multigraph(seed):
+    """Seeded net of 3-10 nodes: each ordered node pair gets up to two
+    parallel links, with delays and costs from 0 to 5, so zero-delay and
+    zero-cost cycles occur."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 11))
+    links = []
+    for u in range(n):
+        for v in range(n):
+            if u == v:
+                continue
+            for _ in range(int(rng.choice(3, p=[0.5, 0.35, 0.15]))):
+                links.append(Link(len(links), u, v, int(rng.integers(0, 6)),
+                                  int(rng.integers(0, 6))))
+    return links_network(n, links)
+
+
+class TestSameListsAsPopTimeBuild:
+    """The build keeps exactly the pairs, in the order, of the reference
+    that tests dominance only when a pair pops."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_multigraphs(self, seed):
+        net = random_multigraph(seed)
+        rng = np.random.default_rng(seed + 900)
+        s, t = 0, net.num_nodes - 1
+        U = int(rng.integers(0, 25))
+        for cap in (INF, int(rng.integers(0, 15))):
+            cf = compute_cost_functions(net, s, t, U, cap=cap)
+            ref = reference_cost_functions(net, s, t, U, cap=cap)
+            assert (cf.delays, cf.costs) == (ref.delays, ref.costs), cap
+
+    def test_generated_network(self):
+        net = gen_er_network(GenConfig(n=300, p_mult=3, seed=31))
+        for i, case in ((500, 4), (503, 6), (504, 4)):
+            q = gen_drcr_query(net, i, case)
+            for cap in (INF, 11, 14):
+                cf = compute_cost_functions(net, q.src, q.dst, q.U, cap=cap)
+                ref = reference_cost_functions(net, q.src, q.dst, q.U, cap=cap)
+                assert (cf.delays, cf.costs) == (ref.delays, ref.costs), cap

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+import drcr.costfn
 import drcr.pulse
 from conftest import G3B_TEXT, random_net
 from drcr.graph import (
@@ -150,6 +151,36 @@ class TestPulse:
         assert stamps == sorted(stamps)
         assert budget < stamps[-1] <= stats.iterations
         assert costs == sorted(set(costs), reverse=True) and costs[-1] == 11
+
+    def test_limit_passing_in_cost_function_build(self, monkeypatch):
+        # the clock stands still but jumps an hour once the build has its
+        # forward trees (the last is the cost tree, as the plain phase found
+        # an incumbent): the build's first check, before it keeps a pair,
+        # finds the limit passed
+        now = [0.0]
+        monkeypatch.setattr(time, "monotonic", lambda: now[0])
+        real = drcr.costfn.build_forward_tree
+
+        def late(net, s, metric, **kwargs):
+            tree = real(net, s, metric, **kwargs)
+            if metric == "cost":
+                now[0] += 3600.0
+            return tree
+
+        monkeypatch.setattr(drcr.costfn, "build_forward_tree", late)
+        net = gen_er_network(GenConfig(n=300, p_mult=3, seed=31))
+        query = gen_drcr_query(net, 503, 6)
+        budget = drcr.pulse.PLAIN_BUDGET
+        delay_tree, cost_tree = drcr.pulse.dst_trees(net, query)
+        incumbent, plain = run_pulse_search(
+            net, query.src, query.dst, query.L, query.U, delay_tree,
+            cost_tree.dist, max_iterations=budget)
+        assert plain.status == "budget" and incumbent is not None
+        p, stats = solve_drcr(net, query, PulseOptions(joint_pruning=True,
+                                                       time_limit=1.0))
+        assert stats.status == "timeout"
+        assert stats.timeout_phase == "costfn.build"
+        assert p == incumbent and stats.iterations == budget
 
 
 # (status, cost, iterations, searched_fraction) for six case-4/6 queries
