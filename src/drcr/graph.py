@@ -19,7 +19,6 @@ densified to ``0..n-1`` in order of first appearance.
 from __future__ import annotations
 
 import time
-import warnings
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -515,11 +514,7 @@ def dijkstra(net: Network, root: int, weights: np.ndarray, *,
         masked[list(disabled)] = INF
     mat, perm = net.matrix(reverse)
     mat.data = masked[perm]
-    with warnings.catch_warnings():
-        # at lam = -mu float rounding leaves c + lam*d a hair below zero
-        warnings.filterwarnings("ignore", "Graph has negative weights")
-        dist, pred = _csgraph_dijkstra(mat, indices=root,
-                                       return_predecessors=True)
+    dist, pred = _csgraph_dijkstra(mat, indices=root, return_predecessors=True)
     deadline.expired("graph.dijkstra")
     return ShortestTree(root, reverse, dist.tolist(), pred, weights, disabled)
 
@@ -568,8 +563,14 @@ def trees_cached(net: Network, t: int) -> bool:
 
 
 def lagrangian_weights(net: Network, lam: float) -> np.ndarray:
-    """Per-link ``cost + lam * delay`` as float64, indexed by link id."""
-    return net.weights("cost") + lam * net.weights("delay")
+    """Per-link ``cost + lam * delay`` as float64, indexed by link id.
+
+    A negative ``lam`` is no lower than -mu, the least cost/delay ratio, so
+    every weight is non-negative but for rounding, which can leave one a
+    hair below zero (``7 - (7/25)*25`` is -8.9e-16); it is clamped to 0.
+    """
+    weights = net.weights("cost") + lam * net.weights("delay")
+    return np.maximum(weights, 0.0, out=weights) if lam < 0 else weights
 
 
 def lagrangian_dist(net: Network, t: int, lam: float,

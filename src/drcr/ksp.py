@@ -7,9 +7,8 @@ solvers differ only in the order and in what a released path must pass.
 The cost and delay orders use the network's own weights; the Lagrangian
 variants combine cost and delay into ``w(e) = c(e) + lambda * d(e)``
 (:func:`drcr.graph.lagrangian_weights`) with a dual-optimal multiplier
-chosen by bisection, which typically releases far earlier than a
-single-metric order.  The pair solvers accept an active path only with a
-backup.
+chosen by LARAC, which typically releases far earlier than a single-metric
+order.  The pair solvers accept an active path only with a backup.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .graph import INF, NO_LIMIT, Deadline, Network, Path, SolveStats, \
-    check_endpoints, dijkstra, finish, lagrangian_weights
+    build_reverse_tree, check_endpoints, dijkstra, finish, lagrangian_weights
 from .pulse import DrcrCase, DrcrQuery, classify_case
 from .srlg import PathPair, SrlgDrcrQuery, backup_search
 
@@ -34,7 +33,7 @@ def yen_ksp(net: Network, s: int, t: int, weights: np.ndarray,
     Multigraph-aware: spur bans remove the specific deviating links, not the
     whole node pair, so parallel links yield distinct paths.
     """
-    if (weights < -1e-12).any():
+    if (weights < 0).any():
         raise ValueError("negative link weight")
     ingress = net.ingress
     current = dijkstra(net, s, weights, deadline=deadline).path_from(net, t)
@@ -69,90 +68,77 @@ def yen_ksp(net: Network, s: int, t: int, weights: np.ndarray,
                    if candidates else None)
 
 
-# Bisection control: stop on relative bracket width or after this many steps.
-_BISECT_STEPS = 64
-_BISECT_TOL = 1e-6
+def _larac(net: Network, s: int, t: int, bound: int, hi: Path, lo: Path,
+           deadline: Deadline = NO_LIMIT) -> float:
+    """LARAC's multiplier for a delay ``bound`` (Jüttner et al., INFOCOM
+    2001), from a least-weight path at each end of the bracket: ``hi`` with
+    delay past ``bound``, ``lo`` with delay at most ``bound``.
 
-
-def _min_weight_delay(net: Network, s: int, t: int, lam: float,
-                      deadline: Deadline = NO_LIMIT) -> tuple[float, int]:
-    """Weight and delay of a min-(c + lam*d)-weight s->t path."""
-    weights = lagrangian_weights(net, lam)
-    path = dijkstra(net, s, weights, deadline=deadline).path_from(net, t)
-    if path is None:
-        return INF, 0
-    return path.cost + lam * path.delay, path.delay
-
-
-def _dual_value(w: float, lam: float, L: int, U: int) -> float:
-    return w - max(lam * L, lam * U)
-
-
-def _bisect_lambda(net: Network, s: int, t: int, L: int, U: int,
-                   lo: float, hi: float, threshold: int,
-                   deadline: Deadline = NO_LIMIT) -> float:
-    """The multiplier in [lo, hi] that maximizes the dual, given
-    d(lo-opt) > threshold >= d(hi-opt).
-
-    The dual is concave with subgradient d(min-weight path) - threshold, so
-    bisection on the subgradient sign brackets the maximizer.  It stops
-    early once ``deadline`` has expired.
+    Each step takes ``lam = num/den``, where the two weigh the same, and
+    finds a min-(c + lam*d) path.  Once that path weighs no less than the
+    two, compared exactly as ``den*c + num*d``, ``lam`` maximizes the
+    concave dual; otherwise it replaces the end on its side of ``bound``.
+    A Dijkstra cut short by ``deadline`` finds no path and ends the loop.
     """
-    best_g = -INF
-    best_lam = lo
-    for lam in (lo, hi):
-        w, _d = _min_weight_delay(net, s, t, lam, deadline)
-        g = _dual_value(w, lam, L, U)
-        if g > best_g:
-            best_g, best_lam = g, lam
-    for _ in range(_BISECT_STEPS):
-        if hi - lo < _BISECT_TOL * (1.0 + abs(lo) + abs(hi)) \
-                or deadline.phase is not None:
-            break
-        mid = (lo + hi) / 2.0
-        w, d = _min_weight_delay(net, s, t, mid, deadline)
-        g = _dual_value(w, mid, L, U)
-        if g > best_g:
-            best_g, best_lam = g, mid
-        if d > threshold:
-            lo = mid
+    while True:
+        num, den = lo.cost - hi.cost, hi.delay - lo.delay
+        lam = num / den
+        path = dijkstra(net, s, lagrangian_weights(net, lam),
+                        deadline=deadline).path_from(net, t)
+        if path is None or den * path.cost + num * path.delay \
+                >= den * hi.cost + num * hi.delay:
+            return lam
+        if path.delay > bound:
+            hi = path
         else:
-            hi = mid
-    return best_lam
+            lo = path
+
+
+def _tree_path(net: Network, q: DrcrQuery, metric: str,
+               deadline: Deadline) -> Optional[Path]:
+    """``q``'s min-``metric`` path, off its destination's cached tree."""
+    return build_reverse_tree(net, q.dst, metric, deadline=deadline
+                              ).path_from(net, q.src)
 
 
 def choose_lambda(net: Network, q: DrcrQuery,
                   case: Optional[DrcrCase] = None,
                   deadline: Deadline = NO_LIMIT) -> float:
-    """The multiplier that maximizes the concave dual bound.
+    """The multiplier that maximizes the concave dual bound, by
+    :func:`_larac`.
 
-    When the ceiling binds, lambda lives in [0, total_cost + 1]: at the top
-    of that bracket any unit of delay outweighs any cost difference, so the
-    min-delay path is min-weight.  When the floor binds, lambda is negative
+    When the ceiling binds, lambda is non-negative, and LARAC starts from
+    the min-cost path (delay past ``U``) and the min-delay path of the
+    destination's cached trees.  When the floor binds, lambda is negative
     but bounded below by -mu (mu the minimum cost/delay ratio) to keep every
     link weight non-negative; it is -mu itself when the min-weight path at
-    -mu has delay at most ``L``, and 0 when mu is 0 or no link has delay,
-    where the dual bound collapses.  A caller that has classified the query passes
-    its ``case`` to skip a second classification.  Once ``deadline``
+    -mu has delay at most ``L``, and LARAC starts from that path and the
+    min-cost path otherwise.  It is 0 when mu is 0 or no link has delay,
+    where the dual bound collapses.  A caller that has classified the query
+    passes its ``case`` to skip a second classification.  Once ``deadline``
     expires the Dijkstras stop early and the result proves nothing.
     """
     if case is None:
         case, _ = classify_case(net, q)
     if case in (DrcrCase.DEGENERATED, DrcrCase.NON_TRIVIAL_4):
-        big = net.totals[1] + 1.0
-        return _bisect_lambda(net, q.src, q.dst, q.L, q.U, 0.0, big, q.U,
-                              deadline)
-    if case is not DrcrCase.NON_TRIVIAL_6:
+        bound, hi = q.U, _tree_path(net, q, "cost", deadline)
+        lo = _tree_path(net, q, "delay", deadline)
+    elif case is DrcrCase.NON_TRIVIAL_6:
+        timed = net.delay > 0
+        mu = float((net.cost[timed] / net.delay[timed]).min()) \
+            if timed.any() else 0.0
+        if not mu:
+            return 0.0
+        hi = dijkstra(net, q.src, lagrangian_weights(net, -mu),
+                      deadline=deadline).path_from(net, q.dst)
+        if hi is not None and hi.delay <= q.L:
+            return -mu
+        bound, lo = q.L, _tree_path(net, q, "cost", deadline)
+    else:
         raise ValueError(f"no binding delay bound to relax ({case.name})")
-    timed = net.delay > 0
-    if not timed.any():
+    if hi is None or lo is None:  # a Dijkstra cut short by ``deadline``
         return 0.0
-    mu = float((net.cost[timed] / net.delay[timed]).min())
-    _, d = _min_weight_delay(net, q.src, q.dst, -mu, deadline)
-    if d > q.L:
-        return _bisect_lambda(net, q.src, q.dst, q.L, q.U, -mu, 0.0, q.L,
-                              deadline)
-    return -mu if mu else 0.0
+    return _larac(net, q.src, q.dst, bound, hi, lo, deadline)
 
 
 # Float weights can undershoot the exact stopping bound; an extra emission

@@ -391,7 +391,9 @@ def lagrangian_cut(net: Network, q: DrcrQuery, min_cost: Path,
 
     ``lam`` is LARAC's first multiplier, the slope between the min-cost
     path ``min_cost`` and the min-delay path, rounded down to a power of
-    two, so that nearby slopes share one cached :func:`lagrangian_dist`.
+    two, so that nearby slopes share one cached :func:`lagrangian_dist`;
+    it takes LARAC's first step only, where the KSP baselines'
+    :func:`drcr.ksp.choose_lambda` runs LARAC to the end.
     Every sum the cut adds up is then a multiple of ``min(lam, 1)`` no
     larger than ``2 C + lam D`` (``C`` and ``D`` the network's cost and
     delay totals; ``U < D`` here), so float64 holds it exactly while that

@@ -31,9 +31,8 @@ from drcr.graph import (
     load_network,
     srlgs_of_path,
 )
-from drcr.ksp import _bisect_lambda, _min_weight_delay, choose_lambda, \
-    cost_ksp_drcr, delay_ksp_drcr, lagrangian_ksp_drcr, srlg_ksp_drcr, \
-    srlg_lagrangian_ksp, yen_ksp
+from drcr.ksp import _larac, choose_lambda, cost_ksp_drcr, delay_ksp_drcr, \
+    lagrangian_ksp_drcr, srlg_ksp_drcr, srlg_lagrangian_ksp, yen_ksp
 from drcr.pulse import DrcrCase, DrcrQuery, PulseOptions, classify_case, \
     dst_trees, lagrangian_cut, pulse_plus, run_pulse_search, solve_drcr
 from drcr.srlg import SrlgDrcrQuery, SubInstance, ap_pulse_plus, \
@@ -214,10 +213,11 @@ def test_expired_deadline_trees_are_not_cached():
 
 def test_lagrangian_rounding_below_zero_is_silent():
     # At lam = -mu, c + lam*d of the link with the least c/d can round to a
-    # hair below zero: 7 - (7/25)*25 is -8.9e-16 in float64.
+    # hair below zero: 7 - (7/25)*25 is -8.9e-16 in float64.  Such a weight
+    # is clamped to 0, so csgraph sees no negative weight.
     net = Network.build(3, [0, 1], [1, 2], [25, 1], [7, 1])
     weights = lagrangian_weights(net, -(7 / 25))
-    assert weights[0] < 0
+    assert 7 - (7 / 25) * 25 < 0 and weights.tolist() == [0.0, 1 - 7 / 25]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tree = dijkstra(net, 0, weights)
@@ -604,8 +604,7 @@ def test_no_limit_never_latches(limit_passes_in, jump):
     empty = SubInstance(frozenset(), frozenset())
     assert ap_pulse_plus(net, 0, 3, 10, empty, []).cost == 3
     assert len(list(yen_ksp(net, 0, 3, net.weights("cost")))) == 4
-    assert _min_weight_delay(net, 0, 3, 0.0) == (3.0, 3)
-    assert _bisect_lambda(net, 0, 3, 0, 2, 0.0, 27.0, 2) \
+    assert _larac(net, 0, 3, 2, min_cost, delay_tree.path_from(net, 0)) \
         == choose_lambda(net, query) > 0
     assert NO_LIMIT.phase is None and NO_LIMIT.at == INF
     assert (time.monotonic() >= 3600.0) == jump

@@ -1,15 +1,16 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
 import drcr.ksp
 import drcr.pulse
 from conftest import pair_instance, random_net
-from drcr.graph import Deadline, SolveStats, lagrangian_weights, \
-    load_network
+from drcr.graph import Deadline, Path, SolveStats, build_reverse_tree, \
+    dijkstra, is_elementary, lagrangian_weights, load_network
 from drcr.ksp import (
     _cheapest_first,
-    _dual_value,
-    _min_weight_delay,
     choose_lambda,
     cost_ksp_drcr,
     delay_ksp_drcr,
@@ -18,7 +19,7 @@ from drcr.ksp import (
     srlg_lagrangian_ksp,
     yen_ksp,
 )
-from drcr.pulse import DrcrQuery, pulse_plus
+from drcr.pulse import DrcrCase, DrcrQuery, classify_case, pulse_plus
 from drcr.srlg import SrlgDrcrQuery
 from oracle import brute_drcr, brute_srlg_drcr, enumerate_elementary_paths
 
@@ -121,10 +122,34 @@ class TestDelayKsp:
         assert p is None and stats.status == "infeasible"
 
 
+# s -> t (cost 1, delay 1) and s -> a -> t (cost 2, delay 4): a case-6
+# query with L = 3 has mu = 1/2, and at -mu the slow path weighs least
+FLOOR_TEXT = "0,s,t,1,1,\n1,s,a,1,2,\n2,a,t,1,2,\n"
+
+# s -> t (cost 9, delay 1), s -> b -> t (4, 4) and s -> a -> t (2, 10): with
+# U = 4, LARAC steps from slope 7/9 to 1/3, where s -> b -> t ties the ends
+CEILING_TEXT = "0,s,t,9,1,\n1,s,a,1,5,\n2,a,t,1,5,\n3,s,b,2,2,\n4,b,t,2,2,\n"
+
+
 def dual_at(net, query, lam):
-    """The dual bound of ``query`` at multiplier ``lam``."""
-    w, _ = _min_weight_delay(net, query.src, query.dst, lam)
-    return _dual_value(w, lam, query.L, query.U)
+    """The dual bound of ``query`` at multiplier ``lam``: the least
+    ``c + lam*d`` over s->t paths, less ``max(lam*L, lam*U)``."""
+    path = dijkstra(net, query.src, lagrangian_weights(net, lam)).path_from(
+        net, query.dst)
+    return path.cost + lam * path.delay - max(lam * query.L, lam * query.U)
+
+
+def count_dijkstras(monkeypatch):
+    """A list that gains one entry per ``drcr.ksp.dijkstra`` call."""
+    calls = []
+    real = drcr.ksp.dijkstra
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(drcr.ksp, "dijkstra", counted)
+    return calls
 
 
 class TestChooseLambda:
@@ -183,6 +208,33 @@ class TestChooseLambda:
         w = lagrangian_weights(net, -mu)
         assert min(w) >= -1e-9
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_lambda_maximizes_the_dual(self, seed):
+        net = random_net(seed + 900, 8, 0.5)
+        rng = np.random.default_rng(seed)
+        timed = net.delay > 0
+        mu = float((net.cost[timed] / net.delay[timed]).min())
+        checked = set()
+        for _ in range(60):
+            s, t = (int(x) for x in rng.integers(0, net.num_nodes, size=2))
+            if s == t:
+                continue
+            L = int(rng.integers(0, 20))
+            query = DrcrQuery(s, t, L, L + int(rng.integers(0, 10)))
+            case = classify_case(net, query)[0]
+            if case in (DrcrCase.DEGENERATED, DrcrCase.NON_TRIVIAL_4):
+                grid = np.linspace(0.0, net.totals[1] + 1.0, 61)
+            elif case is DrcrCase.NON_TRIVIAL_6:
+                grid = np.linspace(-mu, 0.0, 61)
+            else:
+                continue
+            checked.add(case)
+            best = dual_at(net, query, choose_lambda(net, query, case))
+            for x in grid:
+                g = dual_at(net, query, float(x))
+                assert best >= g - 1e-9 * (1 + abs(g)), (query, x)
+        assert checked  # every seed has a query whose bound binds
+
 
 class TestLagrangianKsp:
     def test_diamond_examples(self, g1):
@@ -216,35 +268,62 @@ class TestLagrangianKsp:
         assert pair is None and stats.status == "timeout"
         assert stats.timeout_phase == "graph.dijkstra"
 
-    def test_bisection_stops_once_limit_passes(self, monkeypatch):
-        calls = []
-        real = drcr.ksp.dijkstra
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(drcr.ksp, "dijkstra", counted)
-        # degenerated: the ceiling binds and lambda is bisected on [0, big]
-        net = load_network("0,s,t,9,1,\n1,s,a,1,5,\n2,a,t,1,5,\n")
+    def test_larac_stops_once_limit_passes(self, monkeypatch):
+        calls = count_dijkstras(monkeypatch)
+        # degenerated: the ceiling binds; the ends come off the cached trees
+        net = load_network(CEILING_TEXT)
         query = DrcrQuery(0, 1, 0, 4)
-        choose_lambda(net, query)
-        assert len(calls) > 2
+        assert choose_lambda(net, query) == 1 / 3
+        assert len(calls) == 2  # at 7/9, then at 1/3, where LARAC stops
         calls.clear()
         deadline = Deadline(0.0)
         choose_lambda(net, query, deadline=deadline)
         assert deadline.phase == "graph.dijkstra"
-        assert len(calls) == 2  # the bracket ends only
+        assert len(calls) == 1  # cut short, it finds no path
 
-    def test_bisection_cut_short_chooses_no_lambda(self, limit_passes_in):
-        net = load_network("0,s,t,9,1,\n1,s,a,1,5,\n2,a,t,1,5,\n")
-        limit_passes_in(drcr.ksp, "_bisect_lambda")
+    def test_larac_cut_short_chooses_no_lambda(self, limit_passes_in):
+        net = load_network(CEILING_TEXT)
+        limit_passes_in(drcr.ksp, "_larac")
         path, stats = lagrangian_ksp_drcr(net, DrcrQuery(0, 1, 0, 4), 1.0)
         assert path is None and stats.status == "timeout"
         assert stats.lambda_value is None
         pair, stats = srlg_lagrangian_ksp(net, SrlgDrcrQuery(0, 1, 4, 1), 1.0)
         assert pair is None and stats.status == "timeout"
         assert stats.lambda_value is None
+
+    def test_floor_larac_from_the_minus_mu_path(self, monkeypatch):
+        calls = count_dijkstras(monkeypatch)
+        net = load_network(FLOOR_TEXT)
+        query = DrcrQuery(0, 1, 3, 5)
+        # at -1/2 the slow path (delay 4) weighs least; both paths weigh
+        # 2/3 at -1/3, which maximizes the dual
+        assert choose_lambda(net, query) == -1 / 3
+        assert len(calls) == 2
+        path, stats = lagrangian_ksp_drcr(net, query)
+        assert path.cost == 2 and stats.lambda_value == -1 / 3
+
+    def test_limit_passing_in_the_minus_mu_dijkstra(self, limit_passes_in):
+        net = load_network(FLOOR_TEXT)
+        query = DrcrQuery(0, 1, 3, 5)
+        deadline = Deadline(0.0)
+        lam = choose_lambda(net, query, deadline=deadline)
+        assert isinstance(lam, float) and deadline.phase == "graph.dijkstra"
+        # the first Dijkstra of drcr.ksp is the one at -mu
+        limit_passes_in(drcr.ksp, "dijkstra")
+        path, stats = lagrangian_ksp_drcr(net, query, 1.0)
+        assert path is None and stats.status == "timeout"
+        assert stats.timeout_phase == "graph.dijkstra"
+        assert stats.lambda_value is None
+
+    def test_rounding_below_zero_at_minus_mu(self):
+        # case 6 with mu = 10^6/7: at -mu, c - mu*d rounds to about -1.2e-10
+        net = load_network("0,s,t,1000000,7,\n1,s,a,1000000,7,\n"
+                           "2,a,t,1000000,7,\n")
+        query = DrcrQuery(0, 1, 10, 20)
+        assert classify_case(net, query)[0] is DrcrCase.NON_TRIVIAL_6
+        expect, _ = cost_ksp_drcr(net, query)
+        path, stats = lagrangian_ksp_drcr(net, query)
+        assert stats.status == "optimal" and path.cost == expect.cost == 2000000
 
     @pytest.mark.parametrize("seed", range(20))
     def test_three_ksp_solvers_agree_with_oracle(self, seed):
@@ -354,3 +433,100 @@ class TestSrlgKsp:
             else:
                 assert got is not None and got.active.cost == expect[0], seed
                 assert got.is_valid(net, query.U, query.delta)
+
+
+def sweep_limits(monkeypatch, solve):
+    """The result of ``solve(None)``, then of ``solve(k)`` for every limit
+    ``k`` from 0 to one past the clock reads of ``solve(None)``, on a
+    ``time.monotonic`` that advances one unit per read."""
+    clock = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: float(next(clock)))
+    start = next(clock)
+    unlimited = solve(None)
+    reads = next(clock) - start - 1
+    return unlimited, [solve(float(k)) for k in range(reads + 2)]
+
+
+def check_path(net, path, src, dst):
+    """``path`` is an elementary src->dst path whose sums match its links."""
+    assert path == Path.from_links(net, path.links) and is_elementary(path)
+    assert (path.nodes[0], path.nodes[-1]) == (src, dst)
+
+
+class TestTimeLimitSweep:
+    """A limit that passes at any clock read leaves a Lagrangian KSP solve
+    either proven as without a limit or timed out with a valid answer."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lagrangian_ksp(self, monkeypatch, seed):
+        def fresh():  # no tree cached yet
+            return random_net(seed + 950, 7, 0.5)
+
+        rng = np.random.default_rng(seed + 960)
+        queries = {}  # the first U-binding and the first L-binding query
+        for _ in range(200):
+            s, t = (int(x) for x in rng.integers(0, 7, size=2))
+            L = int(rng.integers(0, 20))
+            if s != t:
+                query = DrcrQuery(s, t, L, L + int(rng.integers(0, 10)))
+                case = classify_case(fresh(), query)[0]
+                if case in (DrcrCase.DEGENERATED, DrcrCase.NON_TRIVIAL_4,
+                            DrcrCase.NON_TRIVIAL_6):
+                    queries.setdefault(case is DrcrCase.NON_TRIVIAL_6, query)
+        assert len(queries) == 2
+        for query in queries.values():
+            expect = brute_drcr(fresh(), query)
+            (best, proven), runs = sweep_limits(
+                monkeypatch,
+                lambda limit: lagrangian_ksp_drcr(fresh(), query, limit))
+            assert proven.status == ("optimal" if expect else "infeasible")
+            cost = None if best is None else best.cost
+            assert cost == (expect and expect[0])
+            assert runs[0][1].status == "timeout"
+            assert runs[-1][1].status == proven.status
+            for path, stats in runs:
+                if stats.status == "timeout":
+                    assert stats.timeout_phase is not None
+                else:
+                    assert stats.status == proven.status
+                    assert (None if path is None else path.cost) == cost
+                if path is not None:
+                    check_path(fresh(), path, query.src, query.dst)
+                    assert query.L <= path.delay <= query.U
+                    assert path.cost >= expect[0]
+
+    # seeds whose relaxed query binds at U, so that LARAC runs: four with
+    # a pair and one proven infeasible after 22 iterations (in 0.9 s; the
+    # other infeasible ones below seed 30 take up to 52 s to sweep)
+    @pytest.mark.parametrize("seed", [5, 10, 11, 12, 28])
+    def test_srlg_lagrangian_ksp(self, monkeypatch, seed):
+        def fresh():  # no tree cached yet
+            return random_net(seed + 1300, 8, 0.5, max_srlgs=4)
+
+        net, rng = fresh(), np.random.default_rng(seed + 1400)
+        min_delay = build_reverse_tree(net, 7, "delay").dist[0]
+        min_cost = build_reverse_tree(net, 7, "cost").path_from(net, 0)
+        assert min_delay < min_cost.delay
+        query = SrlgDrcrQuery(0, 7, int(rng.integers(min_delay,
+                                                     min_cost.delay)),
+                              int(rng.integers(0, 7)))
+        expect = brute_srlg_drcr(net, query)
+        (best, proven), runs = sweep_limits(
+            monkeypatch,
+            lambda limit: srlg_lagrangian_ksp(fresh(), query, limit))
+        assert proven.status == ("optimal" if expect else "infeasible")
+        assert proven.lambda_value > 0
+        assert runs[0][1].status == "timeout"
+        assert runs[-1][1].status == proven.status
+        for pair, stats in runs:
+            if stats.status == "timeout":
+                assert stats.timeout_phase is not None
+            else:
+                assert stats.status == proven.status
+                assert (None if pair is None else pair.active.cost) \
+                    == (None if best is None else best.active.cost)
+            if pair is not None:
+                for path in (pair.active, pair.backup):
+                    check_path(net, path, query.src, query.dst)
+                assert pair.is_valid(net, query.U, query.delta)
+                assert pair.active.cost >= expect[0]
