@@ -2,7 +2,6 @@
 
 from .graph import (
     GraphFormatError,
-    Link,
     Network,
     Path,
     SolveStats,

@@ -85,7 +85,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     with open(os.path.join(args.out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    print(f"wrote {len(net.links)} links, {len(queries)} queries to {args.out}")
+    print(f"wrote {len(net.src)} links, {len(queries)} queries to {args.out}")
     return 0
 
 

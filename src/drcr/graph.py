@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
@@ -113,18 +112,6 @@ def finish(stats: SolveStats, deadline: Deadline, status: str) -> SolveStats:
     return stats
 
 
-@dataclass(frozen=True)
-class Link:
-    """One link's record, built on demand by :attr:`Network.links`."""
-
-    id: int
-    src: int
-    dst: int
-    delay: int
-    cost: int
-    srlgs: frozenset[int] = frozenset()
-
-
 def _total(column: np.ndarray) -> int:
     """Exact sum of a non-negative int64 column: each half-word sum fits."""
     return (int((column >> 32).sum()) << 32) + int((column & 0xFFFFFFFF).sum())
@@ -150,11 +137,11 @@ class Network:
     The link table is ``table``, one int64 row each for ``src``, ``dst``,
     ``delay`` and ``cost`` (also attributes of their own), indexed by link
     id; ``link_srlgs`` maps the id of each link that has Srlgs to them.  No
-    Python object is kept per link: :attr:`links` builds :class:`Link`
-    records on demand.  ``egress[u]`` and ``ingress[u]`` are the only
-    adjacency the solvers walk: rows of the links leaving and entering
-    ``u``, built from the columns on first use.  Dijkstra reads the same
-    links as a CSR matrix per direction (:meth:`matrix`).  ``srlgs`` maps
+    Python object is kept per link, and :attr:`links` is ``table`` viewed
+    by rows.  ``egress[u]`` and ``ingress[u]`` are the only adjacency the
+    solvers walk: rows of the links leaving and entering ``u``, built from
+    the columns on first use.  Dijkstra reads the same links as a CSR
+    matrix per direction (:meth:`matrix`).  ``srlgs`` maps
     each Srlg id to the frozenset of its member links, the inverted
     ``link_srlgs``.  The network also caches the ``TREE_CACHE_SIZE``
     destination trees on all its links that it used last: delay and cost trees
@@ -243,9 +230,12 @@ class Network:
         return cls(num_nodes, node_names, table, by_link, srlgs)
 
     @property
-    def links(self) -> "LinkView":
-        """The link table as a read-only sequence of :class:`Link` records."""
-        return LinkView(self)
+    def links(self) -> np.ndarray:
+        """``table`` viewed by rows: row ``i`` is link ``i``'s ``src, dst,
+        delay, cost``, read-only and sharing ``table``'s memory.  Its only
+        reader is perfbench's ``len(net.links)``; the package reads the link
+        count as ``len(net.src)``."""
+        return self.table.T
 
     @cached_property
     def _node_ids(self) -> dict[str, int]:
@@ -325,27 +315,6 @@ class Network:
         """Per-node rows ``(src, delay, cost, link_id)`` of the links entering
         it, in link-id order."""
         return self._rows(self.dst, self.src)
-
-
-class LinkView(Sequence):
-    """Read-only view of a network's link table: ``view[i]`` builds link
-    ``i``'s :class:`Link` record afresh, and ``len`` is the link count."""
-
-    __slots__ = ("_net",)
-
-    def __init__(self, net: Network):
-        self._net = net
-
-    def __len__(self) -> int:
-        return self._net.table.shape[1]
-
-    def __getitem__(self, lid: int) -> Link:
-        if not -len(self) <= lid < len(self):
-            raise IndexError(f"link id {lid} out of range")
-        lid %= len(self)
-        src, dst, delay, cost = self._net.table[:, lid].tolist()
-        return Link(lid, src, dst, delay, cost,
-                    self._net.link_srlgs.get(lid, frozenset()))
 
 
 def check_endpoints(net: Network, src: int, dst: int) -> None:
@@ -682,7 +651,7 @@ def load_network(text: str) -> Network:
 
 def dump_network(net: Network) -> str:
     """Inverse of :func:`load_network` (modulo comments)."""
-    srlg_fields = [""] * len(net.links)
+    srlg_fields = [""] * len(net.src)
     for lid, groups in net.link_srlgs.items():
         srlg_fields[lid] = ";".join(map(str, sorted(groups)))
     names = net.node_names

@@ -15,6 +15,7 @@ searches.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import time
 from bisect import bisect_right
@@ -61,6 +62,8 @@ class DrcrQuery:
     U: int
 
     def __post_init__(self):
+        for value in vars(self).values():
+            operator.index(value)  # a TypeError unless an integer
         if self.src == self.dst:
             raise ValueError("src and dst must differ")
         if self.L > self.U:

@@ -14,6 +14,7 @@ incumbent.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +42,8 @@ class SrlgDrcrQuery:
     delta: int
 
     def __post_init__(self):
+        for value in vars(self).values():
+            operator.index(value)  # a TypeError unless an integer
         if self.src == self.dst:
             raise ValueError("src and dst must differ")
         if self.delta < 0:
@@ -207,7 +210,7 @@ def ap_pulse_plus(net: Network, src: int, dst: int, U: int,
     for cs in conflicts:
         universe |= cs
     bit_of = {r: i for i, r in enumerate(sorted(universe))}
-    link_masks = [0] * len(net.links) if bit_of else None
+    link_masks = [0] * len(net.src) if bit_of else None
     for r, bit in bit_of.items():
         for lid in _links_of_srlgs(net, (r,)):
             link_masks[lid] |= 1 << bit

@@ -18,6 +18,11 @@ from .srlg import SrlgDrcrQuery, cose_pulse_plus
 
 MAX_QUERY_RETRIES = 1000
 
+# Inclusive ranges of link delays and costs, and of non-star Srlg sizes.
+DELAY_RANGE = (1, 10)
+COST_RANGE = (1, 10)
+SRLG_SIZE_RANGE = (1, 40)
+
 
 class GenerationError(RuntimeError):
     """Retry budget exhausted without hitting the requested instance shape."""
@@ -28,19 +33,12 @@ class GenConfig:
     n: int
     p_mult: int = 1
     p: Optional[float] = None  # overrides p_mult * ln(n) / n when set
-    delay_dist: tuple[int, int] = (1, 10)
-    cost_dist: tuple[int, int] = (1, 10)
     seed: int = 0
     srlg_style: str = "none"  # none | star | nonstar
-    srlg_size_range: tuple[int, int] = (1, 40)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need at least 2 nodes")
-        if self.delay_dist[0] > self.delay_dist[1] or self.delay_dist[0] < 0:
-            raise ValueError("bad delay range")
-        if self.cost_dist[0] > self.cost_dist[1] or self.cost_dist[0] < 0:
-            raise ValueError("bad cost range")
         if self.srlg_style not in ("none", "star", "nonstar"):
             raise ValueError(f"unknown srlg style {self.srlg_style!r}")
 
@@ -59,11 +57,11 @@ def gen_er_network(cfg: GenConfig) -> Network:
     np.fill_diagonal(mask, False)
     srcs, dsts = np.nonzero(mask)
     m = len(srcs)
-    delays = rng.integers(cfg.delay_dist[0], cfg.delay_dist[1] + 1, size=m)
-    costs = rng.integers(cfg.cost_dist[0], cfg.cost_dist[1] + 1, size=m)
+    delays = rng.integers(DELAY_RANGE[0], DELAY_RANGE[1] + 1, size=m)
+    costs = rng.integers(COST_RANGE[0], COST_RANGE[1] + 1, size=m)
     net = Network.build(n, srcs, dsts, delays, costs)
     if cfg.srlg_style != "none":
-        net = gen_srlgs(net, cfg.srlg_style, cfg)
+        net = gen_srlgs(net, cfg)
     return net
 
 
@@ -129,17 +127,17 @@ def gen_drcr_query(net: Network, seed: int, target_case: int,
                           f"{MAX_QUERY_RETRIES} retries")
 
 
-def gen_srlgs(net: Network, style: str, cfg: GenConfig) -> Network:
-    """Augment a network with random Srlg memberships.
+def gen_srlgs(net: Network, cfg: GenConfig) -> Network:
+    """Augment a network with random Srlg memberships of ``cfg.srlg_style``.
 
     Star groups draw from a single node's egress links, sized by the average
     out-degree.  Non-star groups are arbitrary link subsets, added until
     every link belongs to at least one group.
     """
     rng = np.random.default_rng(cfg.seed ^ 0x5B1C)
-    m = len(net.links)
+    m = len(net.src)
     member: list[set[int]] = [set() for _ in range(m)]
-    if style == "star":
+    if cfg.srlg_style == "star":
         avg_deg = max(1, math.ceil(m / net.num_nodes))
         next_id = 0
         for u in range(net.num_nodes):
@@ -152,8 +150,8 @@ def gen_srlgs(net: Network, style: str, cfg: GenConfig) -> Network:
             for k in chosen:
                 member[egress[int(k)][3]].add(next_id)
             next_id += 1
-    elif style == "nonstar":
-        lo, hi = cfg.srlg_size_range
+    elif cfg.srlg_style == "nonstar":
+        lo, hi = SRLG_SIZE_RANGE
         covered = [False] * m
         uncovered = m
         next_id = 0
@@ -168,7 +166,7 @@ def gen_srlgs(net: Network, style: str, cfg: GenConfig) -> Network:
                     uncovered -= 1
             next_id += 1
     else:
-        raise ValueError(f"unknown srlg style {style!r}")
+        raise ValueError(f"srlg style {cfg.srlg_style!r} draws no Srlgs")
     return Network.build(net.num_nodes, *net.table, dict(enumerate(member)),
                          net.node_names)
 

@@ -1,10 +1,29 @@
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from drcr.graph import Link, Network, load_network
+from drcr.graph import Network, load_network
+
+
+class Link(NamedTuple):
+    """One link as the tests build and read networks."""
+
+    id: int
+    src: int
+    dst: int
+    delay: int
+    cost: int
+    srlgs: frozenset = frozenset()
+
+
+def links_of(net):
+    """``net``'s links as ``Link`` records, read off ``table`` and
+    ``link_srlgs``."""
+    return [Link(lid, *row, net.link_srlgs.get(lid, frozenset()))
+            for lid, row in enumerate(net.table.T.tolist())]
 
 
 @pytest.fixture

@@ -55,7 +55,7 @@ class TestGen:
                      "--queries", "5", "--out", str(out)]) == 0
         from drcr.graph import load_network
         net = load_network((out / "graph.txt").read_text())
-        assert all(l.srlgs for l in net.links)
+        assert set(net.link_srlgs) == set(range(len(net.src)))
 
 
 class TestSolve:
@@ -103,6 +103,16 @@ class TestSolve:
         assert rec["status"] == "optimal" and rec["cost"] == 11
         assert rec["backup_path"] is not None
         assert rec["conflict_sets_found"] >= 1
+
+    def test_nan_bound_writes_no_record(self, g1_files, tmp_path):
+        graph, _ = g1_files
+        queries = write(tmp_path / "q.jsonl",
+                        '{"src": 0, "dst": 1, "L": NaN, "U": 5}\n')
+        out = tmp_path / "res.jsonl"
+        with pytest.raises(TypeError):
+            main(["solve", "--graph", graph, "--queries", queries,
+                  "--algo", "pulse+", "--out", str(out)])
+        assert not out.exists()
 
     def test_unknown_algo_usage_error(self, g1_files, capsys):
         graph, queries = g1_files

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import links_network, random_net
+from conftest import Link, links_network, random_net
 from drcr.costfn import compute_cost_functions
-from drcr.graph import INF, Link, load_network
+from drcr.graph import INF, load_network
 from drcr.testgen import GenConfig, gen_drcr_query, gen_er_network
 from oracle import eval_cost_function, reference_cost_functions
 

@@ -11,7 +11,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import multigraphs
+from conftest import links_of, multigraphs
 import drcr.pulse
 import drcr.srlg
 from drcr.costfn import compute_cost_functions
@@ -147,10 +147,10 @@ def test_forced_links_match_brute_force(data):
     s, t = 0, net.num_nodes - 1
     U = data.draw(upper_bounds(net))
     paths = enumerate_elementary_paths(net, s, t)
-    synthetic = [-(lid + 1) for lid in range(len(net.links))]
+    synthetic = [-(lid + 1) for lid in range(len(net.src))]
     # links into src or out of dst can never be on an elementary src->dst
     # path; forcing one must leave no path, whatever it disables
-    ends = [-(l.id + 1) for l in net.links if l.dst == s or l.src == t]
+    ends = [-(l.id + 1) for l in links_of(net) if l.dst == s or l.src == t]
     include: set[int] = set()
     exclude: set[int] = set()
     if paths:  # mostly links of one path, so that some path carries them

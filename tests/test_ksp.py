@@ -6,7 +6,7 @@ import pytest
 
 import drcr.ksp
 import drcr.pulse
-from conftest import pair_instance, random_net
+from conftest import links_of, pair_instance, random_net
 from drcr.graph import Deadline, Path, SolveStats, build_reverse_tree, \
     dijkstra, is_elementary, lagrangian_weights, load_network
 from drcr.ksp import (
@@ -19,8 +19,9 @@ from drcr.ksp import (
     srlg_lagrangian_ksp,
     yen_ksp,
 )
-from drcr.pulse import DrcrCase, DrcrQuery, classify_case, pulse_plus
-from drcr.srlg import SrlgDrcrQuery
+from drcr.pulse import DrcrCase, DrcrQuery, PulseOptions, classify_case, \
+    pulse_plus, solve_drcr
+from drcr.srlg import SrlgDrcrQuery, cose_pulse_plus
 from oracle import brute_drcr, brute_srlg_drcr, enumerate_elementary_paths
 
 
@@ -203,7 +204,7 @@ class TestChooseLambda:
 
     def test_weights_stay_non_negative_at_minus_mu(self):
         net = random_net(32, 7, 0.6)
-        ratios = [l.cost / l.delay for l in net.links if l.delay > 0]
+        ratios = [l.cost / l.delay for l in links_of(net) if l.delay > 0]
         mu = min(ratios)
         w = lagrangian_weights(net, -mu)
         assert min(w) >= -1e-9
@@ -453,80 +454,167 @@ def check_path(net, path, src, dst):
     assert (path.nodes[0], path.nodes[-1]) == (src, dst)
 
 
+def sweep_runner(fresh, solve, warm):
+    """``run(limit)``, which returns ``solve(net, limit)`` on a ``fresh()``
+    network, and ``after``, the unlimited solves that follow each limited
+    one on its network, which a cut-short tree left in the cache would
+    change.  With ``warm``, an odd limit runs after an unlimited warm-up
+    solve, so that it also passes in the phases of a solve that finds its
+    trees cached; the unlimited run is warmed too, so that a sweep's limits
+    reach past the clock reads of a cold solve and of a warm one."""
+    after = []
+
+    def run(limit):
+        net = fresh()
+        if warm and (limit is None or limit % 2):
+            solve(net, None)
+        result = solve(net, limit)
+        if limit is not None:
+            after.append(solve(net, None))
+        return result
+    return run, after
+
+
+def drcr_sweep_instance(seed):
+    """A maker of fresh copies of a seeded 7-node net, and its first
+    U-binding and first L-binding query."""
+    def fresh():
+        return random_net(seed + 950, 7, 0.5)
+
+    rng = np.random.default_rng(seed + 960)
+    queries = {}
+    for _ in range(200):
+        s, t = (int(x) for x in rng.integers(0, 7, size=2))
+        L = int(rng.integers(0, 20))
+        if s != t:
+            query = DrcrQuery(s, t, L, L + int(rng.integers(0, 10)))
+            case = classify_case(fresh(), query)[0]
+            if case in (DrcrCase.DEGENERATED, DrcrCase.NON_TRIVIAL_4,
+                        DrcrCase.NON_TRIVIAL_6):
+                queries.setdefault(case is DrcrCase.NON_TRIVIAL_6, query)
+    assert len(queries) == 2
+    return fresh, [queries[False], queries[True]]
+
+
+def check_drcr_sweep(fresh, query, unlimited, runs, after):
+    """Each run of a DRCR sweep is proven as the unlimited solve is, or a
+    timeout that names a phase; every path returned is valid and no
+    cheaper than the oracle's optimum.  Each solve ``after`` one is proven
+    as the unlimited one."""
+    expect = brute_drcr(fresh(), query)
+    best, proven = unlimited
+    assert proven.status == ("optimal" if expect else "infeasible")
+    cost = None if best is None else best.cost
+    assert cost == (expect and expect[0])
+    assert runs[0][1].status == "timeout"
+    assert runs[-1][1].status == proven.status
+    assert len(after) == len(runs)
+    for path, stats in after:
+        assert (stats.status, None if path is None else path.cost) \
+            == (proven.status, cost)
+    for path, stats in runs:
+        if stats.status == "timeout":
+            assert stats.timeout_phase is not None
+        else:
+            assert stats.status == proven.status
+            assert (None if path is None else path.cost) == cost
+        if path is not None:
+            check_path(fresh(), path, query.src, query.dst)
+            assert query.L <= path.delay <= query.U
+            assert path.cost >= expect[0]
+
+
+def srlg_sweep_instance(seed):
+    """A maker of fresh copies of a seeded 8-node Srlg net, and a ``0 ->
+    7`` query whose ``U`` lies between the min-delay path's delay and the
+    min-cost path's."""
+    def fresh():
+        return random_net(seed + 1300, 8, 0.5, max_srlgs=4)
+
+    net, rng = fresh(), np.random.default_rng(seed + 1400)
+    min_delay = build_reverse_tree(net, 7, "delay").dist[0]
+    min_cost = build_reverse_tree(net, 7, "cost").path_from(net, 0)
+    assert min_delay < min_cost.delay
+    return fresh, SrlgDrcrQuery(0, 7, int(rng.integers(min_delay,
+                                                       min_cost.delay)),
+                                int(rng.integers(0, 7)))
+
+
+def check_srlg_sweep(fresh, query, unlimited, runs, after):
+    """:func:`check_drcr_sweep` for a pair solver: every pair returned is
+    valid and its active path no cheaper than the oracle's."""
+    net, (best, proven) = fresh(), unlimited
+    expect = brute_srlg_drcr(net, query)
+    assert proven.status == ("optimal" if expect else "infeasible")
+    assert runs[0][1].status == "timeout"
+    assert runs[-1][1].status == proven.status
+    assert len(after) == len(runs)
+    for pair, stats in after:
+        assert (stats.status, None if pair is None else pair.active.cost) \
+            == (proven.status, None if best is None else best.active.cost)
+    for pair, stats in runs:
+        if stats.status == "timeout":
+            assert stats.timeout_phase is not None
+        else:
+            assert stats.status == proven.status
+            assert (None if pair is None else pair.active.cost) \
+                == (None if best is None else best.active.cost)
+        if pair is not None:
+            for path in (pair.active, pair.backup):
+                check_path(net, path, query.src, query.dst)
+            assert pair.is_valid(net, query.U, query.delta)
+            assert pair.active.cost >= expect[0]
+
+
 class TestTimeLimitSweep:
-    """A limit that passes at any clock read leaves a Lagrangian KSP solve
-    either proven as without a limit or timed out with a valid answer."""
+    """A limit that passes at any clock read leaves a solve either proven
+    as without a limit or timed out with a valid answer."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lagrangian_ksp(self, monkeypatch, seed):
-        def fresh():  # no tree cached yet
-            return random_net(seed + 950, 7, 0.5)
+        fresh, queries = drcr_sweep_instance(seed)
+        for query in queries:
+            run, after = sweep_runner(fresh, lambda net, limit:
+                                      lagrangian_ksp_drcr(net, query, limit),
+                                      warm=False)
+            check_drcr_sweep(fresh, query, *sweep_limits(monkeypatch, run),
+                             after)
 
-        rng = np.random.default_rng(seed + 960)
-        queries = {}  # the first U-binding and the first L-binding query
-        for _ in range(200):
-            s, t = (int(x) for x in rng.integers(0, 7, size=2))
-            L = int(rng.integers(0, 20))
-            if s != t:
-                query = DrcrQuery(s, t, L, L + int(rng.integers(0, 10)))
-                case = classify_case(fresh(), query)[0]
-                if case in (DrcrCase.DEGENERATED, DrcrCase.NON_TRIVIAL_4,
-                            DrcrCase.NON_TRIVIAL_6):
-                    queries.setdefault(case is DrcrCase.NON_TRIVIAL_6, query)
-        assert len(queries) == 2
-        for query in queries.values():
-            expect = brute_drcr(fresh(), query)
-            (best, proven), runs = sweep_limits(
-                monkeypatch,
-                lambda limit: lagrangian_ksp_drcr(fresh(), query, limit))
-            assert proven.status == ("optimal" if expect else "infeasible")
-            cost = None if best is None else best.cost
-            assert cost == (expect and expect[0])
-            assert runs[0][1].status == "timeout"
-            assert runs[-1][1].status == proven.status
-            for path, stats in runs:
-                if stats.status == "timeout":
-                    assert stats.timeout_phase is not None
-                else:
-                    assert stats.status == proven.status
-                    assert (None if path is None else path.cost) == cost
-                if path is not None:
-                    check_path(fresh(), path, query.src, query.dst)
-                    assert query.L <= path.delay <= query.U
-                    assert path.cost >= expect[0]
+    @pytest.mark.parametrize("joint", [False, True], ids=["plain", "joint"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_solve_drcr(self, monkeypatch, seed, joint):
+        # a budget this low sends every search of a joint run through the
+        # cost-function build
+        monkeypatch.setattr(drcr.pulse, "PLAIN_BUDGET", 2)
+        fresh, queries = drcr_sweep_instance(seed)
+        for query, u_binds in zip(queries, (True, False)):
+            run, after = sweep_runner(fresh, lambda net, limit: solve_drcr(
+                net, query, PulseOptions(joint_pruning=joint,
+                                         time_limit=limit)), warm=True)
+            unlimited, runs = sweep_limits(monkeypatch, run)
+            check_drcr_sweep(fresh, query, unlimited, runs, after)
+            # the warm solve of the U-binding query takes the Lagrangian cut
+            assert (unlimited[1].lambda_value is not None) == u_binds
+            assert (unlimited[1].cf_build_us > 0) == joint
 
     # seeds whose relaxed query binds at U, so that LARAC runs: four with
     # a pair and one proven infeasible after 22 iterations (in 0.9 s; the
     # other infeasible ones below seed 30 take up to 52 s to sweep)
     @pytest.mark.parametrize("seed", [5, 10, 11, 12, 28])
     def test_srlg_lagrangian_ksp(self, monkeypatch, seed):
-        def fresh():  # no tree cached yet
-            return random_net(seed + 1300, 8, 0.5, max_srlgs=4)
+        fresh, query = srlg_sweep_instance(seed)
+        run, after = sweep_runner(fresh, lambda net, limit:
+                                  srlg_lagrangian_ksp(net, query, limit),
+                                  warm=False)
+        unlimited, runs = sweep_limits(monkeypatch, run)
+        check_srlg_sweep(fresh, query, unlimited, runs, after)
+        assert unlimited[1].lambda_value > 0
 
-        net, rng = fresh(), np.random.default_rng(seed + 1400)
-        min_delay = build_reverse_tree(net, 7, "delay").dist[0]
-        min_cost = build_reverse_tree(net, 7, "cost").path_from(net, 0)
-        assert min_delay < min_cost.delay
-        query = SrlgDrcrQuery(0, 7, int(rng.integers(min_delay,
-                                                     min_cost.delay)),
-                              int(rng.integers(0, 7)))
-        expect = brute_srlg_drcr(net, query)
-        (best, proven), runs = sweep_limits(
-            monkeypatch,
-            lambda limit: srlg_lagrangian_ksp(fresh(), query, limit))
-        assert proven.status == ("optimal" if expect else "infeasible")
-        assert proven.lambda_value > 0
-        assert runs[0][1].status == "timeout"
-        assert runs[-1][1].status == proven.status
-        for pair, stats in runs:
-            if stats.status == "timeout":
-                assert stats.timeout_phase is not None
-            else:
-                assert stats.status == proven.status
-                assert (None if pair is None else pair.active.cost) \
-                    == (None if best is None else best.active.cost)
-            if pair is not None:
-                for path in (pair.active, pair.backup):
-                    check_path(net, path, query.src, query.dst)
-                assert pair.is_valid(net, query.U, query.delta)
-                assert pair.active.cost >= expect[0]
+    @pytest.mark.parametrize("seed", [5, 10, 11, 12, 28])
+    def test_cose_pulse_plus(self, monkeypatch, seed):
+        fresh, query = srlg_sweep_instance(seed)
+        run, after = sweep_runner(fresh, lambda net, limit:
+                                  cose_pulse_plus(net, query, limit),
+                                  warm=True)
+        check_srlg_sweep(fresh, query, *sweep_limits(monkeypatch, run),
+                         after)

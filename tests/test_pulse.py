@@ -69,6 +69,28 @@ class TestClassify:
         assert p.cost == 2 and p.delay == 10
 
 
+class TestQueryFields:
+    # s -> a -> t at delay 2, cost 2; s -> t at delay 9, cost 5
+    TEXT = "0,s,a,1,1,\n1,a,t,1,1,\n2,s,t,5,9,\n"
+
+    @pytest.mark.parametrize("fields", [
+        (0, 2, float("nan"), 5),  # solve_drcr: optimal; cost-ksp: infeasible
+        (0, 2, 2, float("nan")),  # a cached-tree solve divided by zero
+        (0.0, 2, 2, 3),           # the search indexed a list by a float
+        (0, 2, 2.0, 3),
+        (0, 2, "2", "3"),
+    ])
+    def test_fields_must_be_integers(self, fields):
+        with pytest.raises(TypeError):
+            DrcrQuery(*fields)
+
+    def test_numpy_integers_accepted(self):
+        net = load_network(self.TEXT)
+        query = DrcrQuery(np.int64(0), np.int32(2), np.int64(2), np.uint8(3))
+        path, stats = solve_drcr(net, query)
+        assert stats.status == "optimal" and path.cost == 2
+
+
 class TestPulse:
     def test_range_forces_dear_path(self, g1):
         p, stats = pulse_plus(g1, q(g1, "s", "t", 3, 5))

@@ -1,8 +1,8 @@
 import pytest
 
 import drcr.srlg
-from conftest import links_network, pair_instance
-from drcr.graph import Link, Network, Path, load_network, srlgs_of_path
+from conftest import Link, links_network, pair_instance
+from drcr.graph import Network, Path, load_network, srlgs_of_path
 from drcr.srlg import (
     PathPair,
     SrlgDrcrQuery,
@@ -229,6 +229,18 @@ class TestIterationCount:
             searched.clear()
             _, stats = cose_pulse_plus(net, q, pick=pick)
             assert stats.iterations == sum(searched), q
+
+
+class TestQueryFields:
+    @pytest.mark.parametrize("fields", [
+        (0, 2, 3, float("nan")),  # was answered as if delta were no bound
+        (0, 2, float("nan"), 1),
+        (0, 2, 3.5, 1),
+        (0, 2, "3", "1"),
+    ])
+    def test_fields_must_be_integers(self, fields):
+        with pytest.raises(TypeError):
+            SrlgDrcrQuery(*fields)
 
 
 class TestPathPair:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ import drcr.srlg
 from drcr.graph import dump_network
 from drcr.pulse import classify_case
 from drcr.testgen import (
+    COST_RANGE,
+    DELAY_RANGE,
+    SRLG_SIZE_RANGE,
     GenConfig,
     GenerationError,
     classify_trap,
@@ -22,7 +26,7 @@ from drcr.graph import build_reverse_tree
 class TestErNetwork:
     def test_forced_edges_at_p_one(self):
         net = gen_er_network(GenConfig(n=2, p=1.0, seed=1))
-        assert len(net.links) == 2
+        assert len(net.src) == 2
 
     def test_deterministic_under_seed(self):
         a = gen_er_network(GenConfig(n=200, p_mult=1, seed=7))
@@ -38,13 +42,14 @@ class TestErNetwork:
         n = 1000
         net = gen_er_network(GenConfig(n=n, p_mult=1, seed=3))
         expect = n * (n - 1) * math.log(n) / n
-        assert abs(len(net.links) - expect) / expect < 0.05
+        assert abs(len(net.src) - expect) / expect < 0.05
 
     def test_values_within_ranges(self):
-        net = gen_er_network(GenConfig(n=50, p=0.2, seed=5,
-                                       delay_dist=(2, 4), cost_dist=(7, 9)))
-        assert all(2 <= l.delay <= 4 for l in net.links)
-        assert all(7 <= l.cost <= 9 for l in net.links)
+        assert DELAY_RANGE == COST_RANGE == (1, 10)
+        net = gen_er_network(GenConfig(n=50, p=0.2, seed=5))
+        # about 490 links draw every value of each range
+        assert set(net.delay.tolist()) == set(range(1, 11))
+        assert set(net.cost.tolist()) == set(range(1, 11))
 
 
 class TestDrcrQueries:
@@ -75,25 +80,33 @@ class TestDrcrQueries:
 
 class TestSrlgs:
     def test_nonstar_covers_every_link(self):
-        cfg = GenConfig(n=60, p_mult=2, seed=9, srlg_size_range=(1, 40))
-        net = gen_srlgs(gen_er_network(cfg), "nonstar", cfg)
-        assert all(l.srlgs for l in net.links)
+        assert SRLG_SIZE_RANGE == (1, 40)
+        net = gen_er_network(GenConfig(n=60, p_mult=2, seed=9,
+                                       srlg_style="nonstar"))
+        assert set(net.link_srlgs) == set(range(len(net.src)))
         for links in net.srlgs.values():
             assert 1 <= len(links) <= 40
 
     def test_star_groups_share_source(self):
-        cfg = GenConfig(n=60, p_mult=2, seed=9)
-        net = gen_srlgs(gen_er_network(cfg), "star", cfg)
+        net = gen_er_network(GenConfig(n=60, p_mult=2, seed=9,
+                                       srlg_style="star"))
         assert net.srlgs
         for links in net.srlgs.values():
-            srcs = {net.links[lid].src for lid in links}
+            srcs = set(net.src[sorted(links)].tolist())
             assert len(srcs) == 1
 
     def test_deterministic(self):
-        cfg = GenConfig(n=40, p_mult=2, seed=4)
-        a = gen_srlgs(gen_er_network(cfg), "nonstar", cfg)
-        b = gen_srlgs(gen_er_network(cfg), "nonstar", cfg)
+        cfg = GenConfig(n=40, p_mult=2, seed=4, srlg_style="nonstar")
+        plain = replace(cfg, srlg_style="none")
+        a = gen_srlgs(gen_er_network(plain), cfg)
+        b = gen_srlgs(gen_er_network(plain), cfg)
         assert dump_network(a) == dump_network(b)
+        assert dump_network(gen_er_network(cfg)) == dump_network(a)
+
+    def test_no_style_draws_no_srlgs(self):
+        cfg = GenConfig(n=10, p_mult=2, seed=4)
+        with pytest.raises(ValueError, match="draws no Srlgs"):
+            gen_srlgs(gen_er_network(cfg), cfg)
 
 
 class TestSrlgQuery:
