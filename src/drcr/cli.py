@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Optional
 
-from .graph import INF, load_network, dump_network
+from .graph import INF, GraphFormatError, load_network, dump_network
 from .pulse import DrcrQuery, PulseOptions, solve_drcr
 from .ksp import cost_ksp_drcr, delay_ksp_drcr, lagrangian_ksp_drcr, \
     srlg_ksp_drcr, srlg_lagrangian_ksp
@@ -90,19 +90,19 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _load_queries(path: str, srlg: bool):
+    make, keys = ((SrlgDrcrQuery, ("src", "dst", "U", "delta")) if srlg
+                  else (DrcrQuery, ("src", "dst", "L", "U")))
     out = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
-            rec = json.loads(line)
-            if srlg:
-                out.append(SrlgDrcrQuery(rec["src"], rec["dst"],
-                                         rec["U"], rec["delta"]))
-            else:
-                out.append(DrcrQuery(rec["src"], rec["dst"],
-                                     rec["L"], rec["U"]))
+            try:
+                rec = json.loads(line)
+                out.append(make(*(rec[k] for k in keys)))
+            except (KeyError, TypeError, ValueError) as e:
+                problem = f"missing key {e}" if isinstance(e, KeyError) else e
+                raise SystemExit(f"{path}: line {lineno}: {problem}") from None
     return out
 
 
@@ -132,10 +132,13 @@ def _solve_one(net, q, algo: str, opts: PulseOptions) -> dict:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    with open(args.graph) as fh:
-        net = load_network(fh.read())
-    srlg = args.algo in SRLG_ALGOS
-    queries = _load_queries(args.queries, srlg)
+    # bad input ends the run with one line naming its file, before any record
+    try:
+        with open(args.graph) as fh:
+            net = load_network(fh.read())
+    except GraphFormatError as e:
+        raise SystemExit(f"{args.graph}: {e}") from None
+    queries = _load_queries(args.queries, args.algo in SRLG_ALGOS)
     limit = None if args.time_limit_ms is None else args.time_limit_ms / 1e3
     opts = PulseOptions(ldf=args.ldf, joint_pruning=args.joint_pruning,
                         time_limit=limit)

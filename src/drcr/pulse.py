@@ -21,7 +21,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .graph import (
     INF,
@@ -158,31 +158,28 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
                      cf: Optional[CostFunction] = None,
                      lagrangian: Optional[tuple[float, list[float]]] = None,
                      deadline: Deadline = NO_LIMIT,
-                     accept: Optional[Callable[[list[int], int], bool]] = None,
-                     link_masks: Optional[list[int]] = None,
-                     conflict_masks: Sequence[int] = (),
+                     accept: Optional[Callable[[list[int]], bool]] = None,
                      disabled: Optional[set[int]] = None,
                      max_iterations: int = sys.maxsize,
                      ) -> tuple[Optional[Path], SolveStats]:
     """The one depth-first search, shared by every solver in the package.
 
     A destination hit with delay in ``[L, U]`` and cost below the incumbent
-    is offered to ``accept(link_ids, omega)``, where ``omega`` is the OR of
-    ``link_masks`` over the path (0 without masks); without a predicate
-    every such hit is accepted.  ``first_feasible`` pins the incumbent so
-    the optimality cut stays off and the first accepted path is returned
-    (used where cost is irrelevant).  ``cf`` switches the optimality cut to
-    the joint delay-cost rule.  ``lagrangian``, a pair ``(lam, dist_lam)``
-    with ``lam >= 0`` and ``dist_lam`` from :func:`lagrangian_dist`, adds a
+    is offered to ``accept(link_ids)``; without a predicate every such hit
+    is accepted.  The search keeps no state for a predicate: it sees the
+    finished path only.  ``first_feasible`` pins the incumbent so the
+    optimality cut stays off and the first accepted path is returned (used
+    where cost is irrelevant).  ``cf`` switches the optimality cut to the
+    joint delay-cost rule.  ``lagrangian``, a pair ``(lam, dist_lam)`` with
+    ``lam >= 0`` and ``dist_lam`` from :func:`lagrangian_dist`, adds a
     second bound to the plain cut: no completion from ``u`` within the
     delay left costs less than ``dist_lam[u] - lam * (U - dly)``; ``cf``
     overrides it.  The caller makes sure that every sum the cut adds up is
-    exact in float64.  A partial path whose ``omega`` contains one
-    of the ``conflict_masks`` is cut.  Links in ``disabled`` are never
-    taken; a rejecting predicate may add to it, and the pending branches
-    below the shallowest newly disabled link of the rejected path are then
-    dropped.  A search that pops ``max_iterations`` entries without
-    finishing stops with status ``"budget"`` and returns its incumbent.
+    exact in float64.  Links in ``disabled`` are never taken; a rejecting
+    predicate may add to it, and the pending branches below the shallowest
+    newly disabled link of the rejected path are then dropped.  A search
+    that pops ``max_iterations`` entries without finishing stops with
+    status ``"budget"`` and returns its incumbent.
 
     ``delay_tree`` is the min-delay tree towards ``t`` over the links the
     search may take.  Without ``ldf`` a node's out-links are taken from
@@ -206,8 +203,6 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
     on_path = [False] * n
     path_nodes = [s] * n  # node at each depth of the current path
     path_links = [-1] * n  # link entering the node at that depth
-    omegas = [0] * n  # Srlg mask of the current path up to that depth
-    omega = 0
     top = -1  # depth of the deepest on-path node
     # entry: (node, delay, cost, depth, link_id, s3)
     stack = [(s, 0, 0, 0, -1, 1.0)]
@@ -240,14 +235,11 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
             on_path[path_nodes[top]] = False
             top -= 1
         path_links[depth] = lid
-        if link_masks is not None:
-            omega = omegas[depth - 1] | link_masks[lid] if depth else 0
-            omegas[depth] = omega
         if node == t:
             searched += s3
             if L <= dly <= U and (first_feasible or cst < tmp_min):
                 links = path_links[1:depth + 1]
-                if accept is None or accept(links, omega):
+                if accept is None or accept(links):
                     # the ancestors' slots of path_nodes hold the path
                     best = Path(tuple(links), (*path_nodes[:depth], t),
                                 dly, cst)
@@ -283,9 +275,6 @@ def run_pulse_search(net: Network, s: int, t: int, L: int, U: int,
                 searched += s3
                 continue
         elif cst + cost_dist[node] >= tmp_min:
-            searched += s3
-            continue
-        if conflict_masks and any(omega & m == m for m in conflict_masks):
             searched += s3
             continue
         on_path[node] = True

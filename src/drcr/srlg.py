@@ -88,6 +88,13 @@ def _links_of_srlgs(net: Network, srlg_ids) -> set[int]:
     return out
 
 
+def _groups_of(net: Network, links: list[int]) -> set[int]:
+    """The real Srlgs of ``links`` plus the synthetic ``-(id + 1)`` of each."""
+    srlgs_of = net.link_srlgs.get
+    return set().union((-lid - 1 for lid in links),
+                       *(srlgs_of(lid, ()) for lid in links))
+
+
 def backup_search(net: Network, active: Path, U: int, delta: int,
                   deadline: Deadline = NO_LIMIT,
                   stats: Optional[SolveStats] = None) -> Optional[Path]:
@@ -136,13 +143,11 @@ def find_conflict_set(net: Network, active: Path, U: int,
     active_omega = srlgs_of_path(net, active)
     s, t = active.nodes[0], active.nodes[-1]
     delay_tree = build_reverse_tree(net, t, "delay", deadline=deadline)
-    srlgs_of = net.link_srlgs.get
     disabled: set[int] = set()
     found: list[int] = []
 
-    def disjoint(path_links: list[int], _omega: int) -> bool:
-        inter = set().union(*(srlgs_of(lid, ()) for lid in path_links))
-        inter &= active_omega
+    def disjoint(path_links: list[int]) -> bool:
+        inter = _groups_of(net, path_links) & active_omega
         if not inter:
             return True
         r = _pick_srlg(net, active, inter, pick)
@@ -183,10 +188,10 @@ def ap_pulse_plus(net: Network, src: int, dst: int, U: int,
     forced links: an elementary path through an included synthetic group's
     link ``u -> v`` leaves ``u`` and enters ``v`` by that link, so every
     other out-link of ``u`` and in-link of ``v`` is disabled before the
-    trees are built.  Inclusion and conflict-avoidance are enforced at
-    validation, since a path may still avoid both ends of a forced link;
-    conflict containment is additionally used as a cut on partial paths.
-    Only paths costing less than ``tmp_min`` are returned.
+    trees are built.  Inclusion and conflict-avoidance are checked on each
+    finished path the search offers, since a path may still avoid both ends
+    of a forced link.  Only paths costing less than ``tmp_min`` are
+    returned.
     """
     disabled = _links_of_srlgs(net, instance.exclude)
     for r in instance.include:
@@ -204,35 +209,14 @@ def ap_pulse_plus(net: Network, src: int, dst: int, U: int,
     if deadline.phase is not None:
         return None
 
-    # Only Srlgs named by the inclusion set or some conflict set need to be
-    # tracked on partial paths; everything else cannot change a verdict.
-    universe: set[int] = set(instance.include)
-    for cs in conflicts:
-        universe |= cs
-    bit_of = {r: i for i, r in enumerate(sorted(universe))}
-    link_masks = [0] * len(net.src) if bit_of else None
-    for r, bit in bit_of.items():
-        for lid in _links_of_srlgs(net, (r,)):
-            link_masks[lid] |= 1 << bit
-    include_mask = 0
-    for r in instance.include:
-        include_mask |= 1 << bit_of[r]
-    conflict_masks = []
-    for cs in conflicts:
-        m = 0
-        for r in cs:
-            m |= 1 << bit_of[r]
-        conflict_masks.append(m)
-
-    def allowed(_path_links: list[int], omega: int) -> bool:
-        return omega & include_mask == include_mask \
-            and not any(omega & m == m for m in conflict_masks)
+    def allowed(path_links: list[int]) -> bool:
+        omega = _groups_of(net, path_links)
+        return instance.include <= omega \
+            and not any(cs <= omega for cs in conflicts)
 
     path, search = run_pulse_search(
         net, src, dst, 0, U, delay_tree, cost_tree.dist,
-        tmp_min=tmp_min, deadline=deadline, accept=allowed,
-        link_masks=link_masks, conflict_masks=conflict_masks,
-        disabled=disabled)
+        tmp_min=tmp_min, deadline=deadline, accept=allowed, disabled=disabled)
     if stats is not None:
         stats.iterations += search.iterations
     return path

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import drcr
 from conftest import G1_TEXT, G3B_TEXT
 from drcr.cli import DRCR_ALGOS, SRLG_ALGOS, main, nearest_rank
 
@@ -109,10 +113,62 @@ class TestSolve:
         queries = write(tmp_path / "q.jsonl",
                         '{"src": 0, "dst": 1, "L": NaN, "U": 5}\n')
         out = tmp_path / "res.jsonl"
-        with pytest.raises(TypeError):
+        with pytest.raises(SystemExit) as e:
             main(["solve", "--graph", graph, "--queries", queries,
                   "--algo", "pulse+", "--out", str(out)])
+        assert e.value.code == f"{queries}: line 1: 'float' object cannot " \
+                               "be interpreted as an integer"
         assert not out.exists()
+
+    @pytest.mark.parametrize("algo, line, problem", [
+        ("pulse+", '{"src": 0, "dst": 1, "U": 5}', "missing key 'L'"),
+        ("cose-pulse+", '{"src": 0, "dst": 1, "L": 0, "U": 5}',
+         "missing key 'delta'"),
+        ("pulse+", '{"src": 0, "dst": 1, "L": 0, "U": 5',
+         "Expecting ',' delimiter"),
+        ("pulse+", "[0, 1, 0, 5]", "list indices must be integers"),
+        ("pulse+", '{"src": 0, "dst": 1, "L": 6, "U": 5}',
+         "empty delay range [6, 5]"),
+    ], ids=["missing-key", "missing-delta", "not-json", "not-an-object",
+            "empty-range"])
+    def test_bad_query_line_is_named(self, g1_files, tmp_path, algo, line,
+                                     problem):
+        graph, _ = g1_files
+        # the first line is a good query: no record is written for it
+        queries = write(tmp_path / "q.jsonl", "\n".join([
+            json.dumps({"src": 0, "dst": 2, "L": 0, "U": 10, "delta": 4}),
+            "", line]) + "\n")
+        out = tmp_path / "res.jsonl"
+        with pytest.raises(SystemExit) as e:
+            main(["solve", "--graph", graph, "--queries", queries,
+                  "--algo", algo, "--out", str(out)])
+        assert e.value.code.startswith(f"{queries}: line 3: {problem}")
+        assert not out.exists()
+
+    def test_bad_graph_line_is_named(self, g1_files, tmp_path):
+        _, queries = g1_files
+        lines = G1_TEXT.splitlines()
+        lines[1] = lines[1].replace(",", ";", 1)
+        graph = write(tmp_path / "bad.txt", "\n".join(lines) + "\n")
+        out = tmp_path / "res.jsonl"
+        with pytest.raises(SystemExit) as e:
+            main(["solve", "--graph", graph, "--queries", queries,
+                  "--algo", "pulse+", "--out", str(out)])
+        assert e.value.code.startswith(f"{graph}: line 2: ")
+        assert not out.exists()
+
+    def test_bad_input_prints_one_line_and_no_traceback(self, g1_files,
+                                                        tmp_path):
+        graph, _ = g1_files
+        queries = write(tmp_path / "q.jsonl", '{"src": 0, "dst": 1}\n')
+        src = os.path.dirname(os.path.dirname(drcr.__file__))
+        run = subprocess.run(
+            [sys.executable, "-m", "drcr.cli", "solve", "--graph", graph,
+             "--queries", queries, "--algo", "pulse+"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 1 and run.stdout == ""
+        assert run.stderr == f"{queries}: line 1: missing key 'L'\n"
 
     def test_unknown_algo_usage_error(self, g1_files, capsys):
         graph, queries = g1_files

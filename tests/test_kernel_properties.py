@@ -157,7 +157,9 @@ def test_forced_links_match_brute_force(data):
         on_path = data.draw(st.sampled_from(paths)).links
         include |= {-(lid + 1) for lid in data.draw(
             st.sets(st.sampled_from(on_path), min_size=1, max_size=3))}
-    for pool in (synthetic, ends):  # at most one more link of each
+    # at most one more link of each pool, and at most one real Srlg, as
+    # a branch on a conflict set includes
+    for pool in (synthetic, ends, sorted(net.srlgs)):
         if pool:
             include |= data.draw(st.sets(st.sampled_from(pool), max_size=1))
     if synthetic:
@@ -182,7 +184,7 @@ def test_forced_links_match_brute_force(data):
     assert p is not None and p.cost == expect
     assert is_elementary(p) and (p.nodes[0], p.nodes[-1]) == (s, t)
     assert p.delay <= U
-    assert {-r - 1 for r in include} <= set(p.links)
+    assert include <= extended_groups(net, p)
 
 
 @settings(max_examples=300, deadline=None)

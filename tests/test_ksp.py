@@ -580,6 +580,27 @@ class TestTimeLimitSweep:
             check_drcr_sweep(fresh, query, *sweep_limits(monkeypatch, run),
                              after)
 
+    @pytest.mark.parametrize("solver", [cost_ksp_drcr, delay_ksp_drcr],
+                             ids=["cost", "delay"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_drcr_ksp(self, monkeypatch, seed, solver):
+        fresh, queries = drcr_sweep_instance(seed)
+        for query in queries:
+            run, after = sweep_runner(fresh, lambda net, limit:
+                                      solver(net, query, limit), warm=False)
+            check_drcr_sweep(fresh, query, *sweep_limits(monkeypatch, run),
+                             after)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pulse_plus_link_order(self, monkeypatch, seed):
+        fresh, queries = drcr_sweep_instance(seed)
+        for query in queries:
+            run, after = sweep_runner(fresh, lambda net, limit: pulse_plus(
+                net, query, PulseOptions(ldf=False, time_limit=limit)),
+                warm=True)
+            check_drcr_sweep(fresh, query, *sweep_limits(monkeypatch, run),
+                             after)
+
     @pytest.mark.parametrize("joint", [False, True], ids=["plain", "joint"])
     @pytest.mark.parametrize("seed", range(6))
     def test_solve_drcr(self, monkeypatch, seed, joint):
@@ -609,6 +630,19 @@ class TestTimeLimitSweep:
         unlimited, runs = sweep_limits(monkeypatch, run)
         check_srlg_sweep(fresh, query, unlimited, runs, after)
         assert unlimited[1].lambda_value > 0
+
+    # the seeds above with a pair: on seed 11, srlg-cost-ksp would draw
+    # every path within U before it proves there is none
+    @pytest.mark.parametrize("order", ["cost", "delay"])
+    @pytest.mark.parametrize("seed", [5, 10, 12, 28])
+    def test_srlg_ksp(self, monkeypatch, seed, order):
+        fresh, query = srlg_sweep_instance(seed)
+        run, after = sweep_runner(fresh, lambda net, limit:
+                                  srlg_ksp_drcr(net, query, order, limit),
+                                  warm=False)
+        unlimited, runs = sweep_limits(monkeypatch, run)
+        check_srlg_sweep(fresh, query, unlimited, runs, after)
+        assert unlimited[0] is not None
 
     @pytest.mark.parametrize("seed", [5, 10, 11, 12, 28])
     def test_cose_pulse_plus(self, monkeypatch, seed):
